@@ -9,6 +9,38 @@ from cyclespec import singer
 
 PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9, 11, 13]
 
+# singer_difference_set(q).elements for every prime power q <= 32, recorded
+# from the object-tower field arithmetic that preceded the flat integer core.
+# Any change of canonical modulus or primitive element shows up here.
+GOLDEN = {
+    2: (0, 1, 3),
+    3: (0, 1, 3, 9),
+    4: (0, 1, 4, 14, 16),
+    5: (0, 1, 4, 10, 12, 17),
+    7: (0, 1, 7, 24, 36, 38, 49, 54),
+    8: (0, 1, 3, 7, 15, 31, 36, 54, 63),
+    9: (0, 1, 3, 9, 27, 49, 56, 61, 77, 81),
+    11: (0, 1, 3, 15, 46, 71, 75, 84, 94, 101, 112, 128),
+    13: (0, 1, 5, 13, 65, 68, 93, 111, 113, 122, 146, 152, 162, 169),
+    16: (0, 1, 4, 16, 26, 57, 64, 91, 93, 99, 104, 123, 143, 205, 219, 228, 256),
+    17: (0, 1, 3, 30, 37, 50, 55, 76, 98, 117, 129, 133, 157, 189, 199, 222, 293, 299),
+    19: (0, 1, 19, 26, 28, 36, 42, 113, 118, 151, 173, 202, 239, 242, 254, 303, 307,
+         337, 350, 361),
+    23: (0, 1, 3, 17, 36, 42, 64, 93, 131, 149, 161, 193, 204, 214, 219, 227, 264, 273,
+         313, 400, 448, 452, 472, 479),
+    25: (0, 1, 12, 25, 70, 133, 154, 176, 251, 300, 304, 339, 354, 387, 416, 434, 439,
+         448, 494, 553, 559, 561, 595, 625, 632, 635),
+    27: (0, 1, 3, 9, 27, 43, 81, 129, 173, 220, 243, 310, 387, 404, 409, 445, 455, 466,
+         470, 505, 519, 578, 608, 641, 653, 660, 673, 729),
+    29: (0, 1, 13, 45, 53, 59, 92, 126, 210, 221, 231, 285, 374, 459, 468, 483, 490,
+         519, 545, 561, 580, 617, 660, 734, 736, 761, 764, 784, 802, 867),
+    31: (0, 1, 23, 31, 60, 66, 77, 84, 87, 195, 253, 257, 291, 331, 401, 416, 468, 473,
+         515, 590, 606, 618, 711, 713, 752, 761, 841, 867, 892, 912, 961, 980),
+    32: (0, 1, 8, 25, 45, 64, 116, 189, 195, 200, 236, 302, 306, 334, 360, 402, 420,
+         453, 455, 469, 482, 503, 512, 543, 558, 581, 685, 766, 831, 843, 853, 925,
+         928),
+}
+
 
 class TestPrimePower:
     def test_accepts_prime_powers(self):
@@ -39,6 +71,13 @@ class TestConstruction:
             singer.singer_difference_set(6)
         with pytest.raises(singer.NotPrimePower):
             singer.singer_difference_set(1)
+
+    @pytest.mark.parametrize("q", sorted(GOLDEN))
+    def test_golden_difference_sets(self, q):
+        assert singer.singer_difference_set(q).elements == GOLDEN[q]
+
+    def test_golden_covers_every_prime_power_to_32(self):
+        assert sorted(GOLDEN) == [q for q in range(2, 33) if singer.prime_power(q)]
 
     def test_deterministic(self):
         assert (singer.singer_difference_set(4).elements
