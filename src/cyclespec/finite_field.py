@@ -1,410 +1,159 @@
-"""Exact arithmetic in finite fields built as explicit extension towers.
+"""Finite fields as flat integer data, with canonical (reproducible) choices.
 
-A field is either GF(p) for a prime p, or an extension of an existing field
-by a monic irreducible modulus, so towers such as GF(2) -> GF(4) -> GF(64)
-keep the coordinates of each step visible.  Every choice made here (moduli,
-primitive elements, element enumeration) is canonical, which makes all
-downstream constructions reproducible byte for byte.
+GF(q) is a ``Field``: addition and multiplication tables on the indices
+0..q-1.  Polynomials are tuples of such indices, lowest degree first.  An
+``Extension`` by a monic irreducible modulus keeps its elements as
+coefficient tuples (GF(q^3) as triples); element number i reads its tuple
+as base-|F| digits, lowest coordinate least significant, and ``tables``
+flattens a small extension such as GF(p^m) into a ``Field`` in that order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-class CompositeCharacteristic(ValueError):
-    """Requested characteristic is not prime."""
+class Field(NamedTuple):
+    """GF(q) on the indices 0..q-1; index 0 is zero and index 1 is one."""
+
+    add: list[list[int]]
+    mul: list[list[int]]
 
 
-class ReducibleModulus(ValueError):
-    """Extension modulus factors over the base field."""
+class Extension(NamedTuple):
+    """base[x]/(modulus) with ``order`` elements, each a tuple of deg(modulus) coefficients."""
 
-    def __init__(self, modulus: Polynomial, factor: Polynomial):
-        super().__init__(f"modulus {modulus} has factor {factor}")
-        self.modulus = modulus
-        self.factor = factor
-
-
-class ZeroInversion(ZeroDivisionError):
-    """Multiplicative inverse of zero requested."""
-
-
-class ZeroArgument(ValueError):
-    """Operation defined only on the unit group applied to zero."""
-
-
-class FieldMismatch(ValueError):
-    """Operands live in different fields."""
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    base: Field
+    modulus: tuple[int, ...]
+    order: int
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 by trial division, as (prime, exponent) pairs."""
-    factors = []
-    d = 2
+    factors, d = [], 2
     while d * d <= n:
         e = 0
         while n % d == 0:
-            e += 1
-            n //= d
+            e, n = e + 1, n // d
         if e:
             factors.append((d, e))
         d += 1
-    if n > 1:
-        factors.append((n, 1))
-    return factors
+    return factors + [(n, 1)] if n > 1 else factors
 
 
-class FieldSpec:
-    """A finite field: GF(p) directly, or an extension of ``base`` by ``modulus``.
-
-    Elements are enumerable in a canonical order (see ``from_index``): prime
-    field elements by residue, extension elements by reading their coordinate
-    vector as base-|F| digits, lowest coordinate least significant.
-    """
-
-    def __init__(self, characteristic: int, order: int, degree: int,
-                 base: FieldSpec | None = None, modulus: Polynomial | None = None):
-        self.characteristic = characteristic
-        self.order = order
-        self.degree = degree
-        self.base = base
-        self.modulus = modulus
-        if base is None:
-            self._signature = (characteristic,)
-        else:
-            self._signature = (base._signature,
-                               tuple(c.to_index() for c in modulus.coefficients))
-
-    @property
-    def is_prime_field(self) -> bool:
-        return self.base is None
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, FieldSpec) and self._signature == other._signature
-
-    def __hash__(self) -> int:
-        return hash(self._signature)
-
-    def __repr__(self) -> str:
-        return f"GF({self.order})"
-
-    def zero(self) -> FieldElement:
-        return self.from_index(0)
-
-    def one(self) -> FieldElement:
-        return self.from_index(1)
-
-    def from_index(self, index: int) -> FieldElement:
-        """Element number ``index`` in the canonical enumeration 0..order-1."""
-        if not 0 <= index < self.order:
-            raise ValueError(f"index {index} out of range for {self!r}")
-        if self.base is None:
-            return FieldElement(self, (index,))
-        coords = []
-        for _ in range(self.degree):
-            coords.append(self.base.from_index(index % self.base.order))
-            index //= self.base.order
-        return FieldElement(self, tuple(coords))
-
-    def element(self, value: int) -> FieldElement:
-        """from_index with wraparound; handy for literals like element(-1)."""
-        return self.from_index(value % self.order)
-
-    def elements(self):
-        """Every element, in canonical order."""
-        for index in range(self.order):
-            yield self.from_index(index)
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """One field element.
-
-    ``coords`` has length equal to the top extension degree: a single residue
-    for a prime field, otherwise a coefficient vector over the field below.
-    """
-
-    owner: FieldSpec
-    coords: tuple
-
-    def to_index(self) -> int:
-        if self.owner.is_prime_field:
-            return self.coords[0]
-        index = 0
-        for c in reversed(self.coords):
-            index = index * self.owner.base.order + c.to_index()
-        return index
-
-    @property
-    def is_zero(self) -> bool:
-        if self.owner.is_prime_field:
-            return self.coords[0] == 0
-        return all(c.is_zero for c in self.coords)
-
-    @property
-    def is_one(self) -> bool:
-        return self.to_index() == 1
-
-    def _require_same_field(self, other: FieldElement) -> None:
-        if not isinstance(other, FieldElement) or self.owner != other.owner:
-            raise FieldMismatch(f"cannot combine {self!r} with {other!r}")
-
-    def __add__(self, other: FieldElement) -> FieldElement:
-        self._require_same_field(other)
-        if self.owner.is_prime_field:
-            p = self.owner.characteristic
-            return FieldElement(self.owner, ((self.coords[0] + other.coords[0]) % p,))
-        return FieldElement(self.owner,
-                            tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> FieldElement:
-        if self.owner.is_prime_field:
-            p = self.owner.characteristic
-            return FieldElement(self.owner, ((-self.coords[0]) % p,))
-        return FieldElement(self.owner, tuple(-c for c in self.coords))
-
-    def __sub__(self, other: FieldElement) -> FieldElement:
-        return self + (-other)
-
-    def __mul__(self, other: FieldElement) -> FieldElement:
-        self._require_same_field(other)
-        if self.owner.is_prime_field:
-            p = self.owner.characteristic
-            return FieldElement(self.owner, ((self.coords[0] * other.coords[0]) % p,))
-        base = self.owner.base
-        product = Polynomial(base, self.coords) * Polynomial(base, other.coords)
-        remainder = product % self.owner.modulus
-        return FieldElement(self.owner, remainder.padded(self.owner.degree))
-
-    def __pow__(self, exponent: int) -> FieldElement:
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = self.owner.one()
-        square = self
-        while exponent:
-            if exponent & 1:
-                result = result * square
-            square = square * square
-            exponent >>= 1
-        return result
-
-    def inverse(self) -> FieldElement:
-        if self.is_zero:
-            raise ZeroInversion(f"zero has no inverse in {self.owner!r}")
-        # a^(|F|-1) = 1 for every unit, so a^(|F|-2) inverts
-        return self ** (self.owner.order - 2)
-
-    def __truediv__(self, other: FieldElement) -> FieldElement:
-        self._require_same_field(other)
-        return self * other.inverse()
-
-    def __str__(self) -> str:
-        if self.owner.is_prime_field:
-            return str(self.coords[0])
-        return "(" + ", ".join(str(c) for c in self.coords) + ")"
-
-    def __repr__(self) -> str:
-        return f"GF({self.owner.order})[{self.to_index()}]"
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    """Dense polynomial over a finite field, coefficients lowest degree first."""
-
-    field: FieldSpec
-    coefficients: tuple[FieldElement, ...]
-
-    def __post_init__(self):
-        coeffs = tuple(self.coefficients)
-        while coeffs and coeffs[-1].is_zero:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coefficients", coeffs)
-
-    @classmethod
-    def from_indices(cls, field: FieldSpec, indices) -> Polynomial:
-        """Build from canonical element indices, lowest degree first."""
-        return cls(field, tuple(field.from_index(i) for i in indices))
-
-    @property
-    def degree(self) -> int | None:
-        """Degree of the polynomial; None for the zero polynomial."""
-        return len(self.coefficients) - 1 if self.coefficients else None
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coefficients) and self.coefficients[-1].is_one
-
-    def padded(self, length: int) -> tuple[FieldElement, ...]:
-        zero = self.field.zero()
-        return self.coefficients + (zero,) * (length - len(self.coefficients))
-
-    def __add__(self, other: Polynomial) -> Polynomial:
-        length = max(len(self.coefficients), len(other.coefficients))
-        return Polynomial(self.field,
-                          tuple(a + b for a, b in zip(self.padded(length),
-                                                      other.padded(length))))
-
-    def __sub__(self, other: Polynomial) -> Polynomial:
-        length = max(len(self.coefficients), len(other.coefficients))
-        return Polynomial(self.field,
-                          tuple(a - b for a, b in zip(self.padded(length),
-                                                      other.padded(length))))
-
-    def __mul__(self, other: Polynomial) -> Polynomial:
-        if self.is_zero or other.is_zero:
-            return Polynomial(self.field, ())
-        zero = self.field.zero()
-        out = [zero] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.coefficients):
-                out[i + j] = out[i + j] + a * b
-        return Polynomial(self.field, tuple(out))
-
-    def __divmod__(self, divisor: Polynomial) -> tuple[Polynomial, Polynomial]:
-        if divisor.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        width = len(divisor.coefficients)
-        remainder = list(self.coefficients)
-        quotient = [self.field.zero()] * max(0, len(remainder) - width + 1)
-        lead_inverse = divisor.coefficients[-1].inverse()
-        while len(remainder) >= width:
-            coefficient = remainder[-1] * lead_inverse
-            shift = len(remainder) - width
-            if not coefficient.is_zero:
-                quotient[shift] = coefficient
-                for i, c in enumerate(divisor.coefficients):
-                    remainder[shift + i] = remainder[shift + i] - coefficient * c
-            remainder.pop()
-        return (Polynomial(self.field, tuple(quotient)),
-                Polynomial(self.field, tuple(remainder)))
-
-    def __mod__(self, divisor: Polynomial) -> Polynomial:
-        return divmod(self, divisor)[1]
-
-    def evaluate(self, point: FieldElement) -> FieldElement:
-        result = self.field.zero()
-        for c in reversed(self.coefficients):
-            result = result * point + c
-        return result
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        terms = []
-        for power in range(len(self.coefficients) - 1, -1, -1):
-            c = self.coefficients[power]
-            if c.is_zero:
-                continue
-            if power == 0:
-                terms.append(str(c))
-            else:
-                head = "" if c.is_one else f"{c}*"
-                terms.append(f"{head}x" + (f"^{power}" if power > 1 else ""))
-        return " + ".join(terms)
-
-
-def prime_field(p: int) -> FieldSpec:
+def prime_field(p: int) -> Field:
     """GF(p) for a prime p."""
-    if not is_prime(p):
-        raise CompositeCharacteristic(f"{p} is not prime")
-    return FieldSpec(characteristic=p, order=p, degree=1)
+    if factorize(p) != [(p, 1)]:
+        raise ValueError(f"{p} is not prime")
+    return Field([[(a + b) % p for b in range(p)] for a in range(p)],
+                 [[a * b % p for b in range(p)] for a in range(p)])
 
 
-def monic_polynomials(field: FieldSpec, degree: int):
-    """All monic polynomials of exact ``degree``, in canonical order.
-
-    Ordered by reading the non-leading coefficients as base-|F| digits,
-    constant term least significant.
-    """
-    for value in range(field.order ** degree):
-        coords = []
-        v = value
-        for _ in range(degree):
-            coords.append(field.from_index(v % field.order))
-            v //= field.order
-        yield Polynomial(field, tuple(coords) + (field.one(),))
+def digits(index: int, base: int, count: int) -> tuple[int, ...]:
+    """The ``count`` base-``base`` digits of index, least significant first."""
+    return tuple(index // base ** i % base for i in range(count))
 
 
-def proper_factor(poly: Polynomial) -> Polynomial | None:
-    """A monic factor with degree in [1, deg/2], or None when none exists.
+def poly_mul(field: Field, a, b) -> list[int]:
+    add, mul = field
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        row = mul[x]
+        for j, y in enumerate(b):
+            out[i + j] = add[out[i + j]][row[y]]
+    return out
 
-    Trial division; a polynomial with no factor in that range is irreducible.
-    """
-    if poly.degree is None or poly.degree < 1:
-        raise ValueError("factor search needs degree >= 1")
-    for degree in range(1, poly.degree // 2 + 1):
-        for candidate in monic_polynomials(poly.field, degree):
-            if (poly % candidate).is_zero:
+
+def poly_mod(field: Field, a, divisor) -> list[int]:
+    """Remainder of a by a monic divisor (so no inversion), as deg(divisor) coefficients."""
+    add, mul = field
+    width = len(divisor) - 1
+    rest = list(a) + [0] * (width - len(a))
+    while len(rest) > width:
+        minus = mul[add[rest.pop()].index(0)]
+        for j, c in enumerate(divisor[:-1], len(rest) - width):
+            rest[j] = add[rest[j]][minus[c]]
+    return rest
+
+
+def monic_polynomials(field: Field, degree: int):
+    """Monic polynomials of exact ``degree``, lower coefficients counting up in base |F|."""
+    size = len(field.add)
+    for value in range(size ** degree):
+        yield digits(value, size, degree) + (1,)
+
+
+def proper_factor(field: Field, poly) -> tuple[int, ...] | None:
+    """A monic factor of degree 1..deg/2 by trial division; None means irreducible."""
+    for degree in range(1, (len(poly) - 1) // 2 + 1):
+        for candidate in monic_polynomials(field, degree):
+            if not any(poly_mod(field, poly, candidate)):
                 return candidate
     return None
 
 
-def find_irreducible(base: FieldSpec, degree: int) -> Polynomial:
+def find_irreducible(base: Field, degree: int) -> tuple[int, ...]:
     """Canonically smallest monic irreducible of the given degree over base."""
     if degree < 2:
         raise ValueError("degree must be at least 2")
     for candidate in monic_polynomials(base, degree):
-        if proper_factor(candidate) is None:
+        if proper_factor(base, candidate) is None:
             return candidate
     raise AssertionError("finite fields admit irreducibles of every degree")
 
 
-def extend(base: FieldSpec, modulus: Polynomial) -> FieldSpec:
+def extend(base: Field, modulus) -> Extension:
     """The extension field base[x]/(modulus), for a monic irreducible modulus."""
-    if modulus.field != base:
-        raise FieldMismatch("modulus coefficients live in a different field")
-    if modulus.degree is None or modulus.degree < 2:
-        raise ValueError("modulus degree must be at least 2")
-    if not modulus.is_monic:
-        raise ValueError("modulus must be monic")
-    factor = proper_factor(modulus)
+    if len(modulus) < 2 or modulus[-1] != 1:
+        raise ValueError("modulus must be monic of degree at least 1")
+    factor = proper_factor(base, modulus)
     if factor is not None:
-        raise ReducibleModulus(modulus, factor)
-    return FieldSpec(characteristic=base.characteristic,
-                     order=base.order ** modulus.degree,
-                     degree=modulus.degree,
-                     base=base,
-                     modulus=modulus)
+        raise ValueError(f"modulus {modulus} has factor {factor}")
+    return Extension(base, modulus, len(base.add) ** (len(modulus) - 1))
 
 
-def element_order(a: FieldElement) -> int:
-    """Multiplicative order of a nonzero element.
+def element(field: Extension, index: int) -> tuple[int, ...]:
+    """Element number ``index`` in the canonical enumeration 0..order-1."""
+    return digits(index, len(field.base.add), len(field.modulus) - 1)
 
-    Starts from |F| - 1 (factored by trial division) and divides out each
-    prime factor while the corresponding power still fixes 1.
-    """
-    if a.is_zero:
-        raise ZeroArgument("zero has no multiplicative order")
-    group = a.owner.order - 1
-    order = group
-    for prime, _ in factorize(group):
-        while order % prime == 0 and (a ** (order // prime)).is_one:
+
+def multiply(field: Extension, a, b) -> tuple[int, ...]:
+    return tuple(poly_mod(field.base, poly_mul(field.base, a, b), field.modulus))
+
+
+def power(field: Extension, a, exponent: int) -> tuple[int, ...]:
+    result = element(field, 1)
+    while exponent:
+        if exponent & 1:
+            result = multiply(field, result, a)
+        a = multiply(field, a, a)
+        exponent >>= 1
+    return result
+
+
+def tables(field: Extension) -> Field:
+    """The ``Field`` tables of a small extension, on canonical indices."""
+    elements = [element(field, i) for i in range(field.order)]
+    index = {e: i for i, e in enumerate(elements)}
+    return Field([[index[tuple(field.base.add[x][y] for x, y in zip(a, b))] for b in elements]
+                  for a in elements],
+                 [[index[multiply(field, a, b)] for b in elements] for a in elements])
+
+
+def element_order(field: Extension, a) -> int:
+    """Order of a nonzero element: divide primes out of |F| - 1 while a^order stays 1."""
+    if not any(a):
+        raise ValueError("zero has no multiplicative order")
+    order = field.order - 1
+    for prime, _ in factorize(order):
+        while order % prime == 0 and power(field, a, order // prime) == element(field, 1):
             order //= prime
     return order
 
 
-def find_primitive(field: FieldSpec) -> FieldElement:
-    """First element in canonical order that generates the whole unit group."""
-    target = field.order - 1
+def find_primitive(field: Extension) -> int:
+    """Index of the first element in canonical order that generates the unit group."""
     for index in range(1, field.order):
-        candidate = field.from_index(index)
-        if element_order(candidate) == target:
-            return candidate
+        if element_order(field, element(field, index)) == field.order - 1:
+            return index
     raise AssertionError("unit groups of finite fields are cyclic")

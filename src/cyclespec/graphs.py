@@ -154,7 +154,7 @@ def import_graph(text: str, fmt: GraphFormat) -> ChordedCycleGraph:
     """Inverse of export_graph on its image.
 
     Vertex count is the largest label seen (edge list, DOT) or the header
-    byte (graph6); consecutive labels and {n, 1} are the cycle, everything
+    (graph6); consecutive labels and {n, 1} are the cycle, everything
     else must be a valid chord.
     """
     if fmt is GraphFormat.EDGE_LIST:
@@ -228,20 +228,25 @@ def _assemble(n: int, edges: list[tuple[int, int]]) -> ChordedCycleGraph:
         raise ParseError(str(exc)) from exc
 
 
-# graph6: header byte n + 63, then the upper-triangle adjacency bits in
-# column order, packed big-endian into 6-bit groups, each offset by 63.
+# graph6: the vertex count (one byte n + 63 for n <= 62, otherwise "~" and
+# three 6-bit bytes), then the upper-triangle adjacency bits in column order,
+# packed big-endian into 6-bit groups, each offset by 63.
+GRAPH6_MAX_VERTICES = 258047  # the largest n the "~" + 3-byte header carries
+
 
 def _to_graph6(graph: ChordedCycleGraph) -> str:
-    if graph.n > 62:
-        raise ValueError("graph6 output supports at most 62 vertices")
+    n = graph.n
+    if n > GRAPH6_MAX_VERTICES:
+        raise ValueError(f"graph6 output supports at most {GRAPH6_MAX_VERTICES} vertices")
     adjacent = set()
     for u, v in graph.cycle_edges() + list(graph.chords):
         adjacent.add((min(u, v) - 1, max(u, v) - 1))
     bits = []
-    for column in range(1, graph.n):
+    for column in range(1, n):
         for row in range(column):
             bits.append(1 if (row, column) in adjacent else 0)
-    chars = [chr(graph.n + 63)]
+    header = [n] if n <= 62 else [63, n >> 12, (n >> 6) & 63, n & 63]
+    chars = [chr(value + 63) for value in header]
     for start in range(0, len(bits), 6):
         chunk = bits[start:start + 6]
         chunk += [0] * (6 - len(chunk))
@@ -256,14 +261,19 @@ def _from_graph6(line: str) -> tuple[int, list[tuple[int, int]]]:
     data = [ord(ch) - 63 for ch in line]
     if not data or not all(0 <= d < 64 for d in data):
         raise ParseError("invalid graph6 characters")
-    n = data[0]
-    if n > 62:
-        raise ParseError("graph6 input beyond 62 vertices is unsupported")
+    if data[0] < 63:
+        n, data = data[0], data[1:]
+    elif len(data) < 4:
+        raise ParseError("truncated graph6 header")
+    elif data[1] == 63:
+        raise ParseError(f"graph6 input beyond {GRAPH6_MAX_VERTICES} vertices is unsupported")
+    else:
+        n, data = (data[1] << 12) | (data[2] << 6) | data[3], data[4:]
     need = n * (n - 1) // 2
-    if len(data) - 1 != (need + 5) // 6:
+    if len(data) != (need + 5) // 6:
         raise ParseError("graph6 bit vector has the wrong length")
     bits = []
-    for d in data[1:]:
+    for d in data:
         for shift in range(5, -1, -1):
             bits.append((d >> shift) & 1)
     if any(bits[need:]):

@@ -71,16 +71,16 @@ def singer_difference_set(q: int) -> PerfectDifferenceSet:
         raise NotPrimePower(f"{q} is not a prime power")
     p, m = decomposition
     ground = ff.prime_field(p)
-    mid = ground if m == 1 else ff.extend(ground, ff.find_irreducible(ground, m))
+    mid = ground if m == 1 else ff.tables(ff.extend(ground, ff.find_irreducible(ground, m)))
     top = ff.extend(mid, ff.find_irreducible(mid, 3))
-    gamma = ff.find_primitive(top)
+    gamma = ff.element(top, ff.find_primitive(top))
     n = q * q + q + 1
     residues = set()
-    power = top.one()
+    power = (1, 0, 0)
     for exponent in range(top.order - 1):
-        if power.coords[2].is_zero:
+        if power[2] == 0:
             residues.add(exponent % n)
-        power = power * gamma
+        power = ff.multiply(top, power, gamma)
     assert len(residues) == q + 1, "a projective line should give q + 1 residues"
     result = PerfectDifferenceSet(n, tuple(sorted(residues)))
     assert verify_perfect_difference_set(result) is None

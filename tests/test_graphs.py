@@ -5,8 +5,13 @@ import random
 
 import pytest
 
-from cyclespec import cycleset, graphs
+from cyclespec import cycleset, graphs, singer
 from cyclespec.graphs import GraphFormat
+
+
+def _singer_graph(q):
+    anchors = cycleset.derive_cycle_set(singer.singer_difference_set(q)).elements
+    return graphs.build_graph(q * q + q + 1, anchors)
 
 
 class TestConstruction:
@@ -111,10 +116,24 @@ class TestExport:
         # standard encoding of the complete graph on three vertices
         assert graphs.export_graph(graphs.ChordedCycleGraph(3), GraphFormat.GRAPH6) == "Bw\n"
 
-    def test_graph6_vertex_limit(self):
-        with pytest.raises(ValueError):
-            graphs.export_graph(graphs.ChordedCycleGraph(63), GraphFormat.GRAPH6)
-        assert graphs.export_graph(graphs.ChordedCycleGraph(62), GraphFormat.GRAPH6)
+    def test_graph6_long_header(self):
+        # n = 62 is the last short header; 63, 73 (q = 8) and 553 (q = 23) need "~"
+        for graph in [graphs.ChordedCycleGraph(62), graphs.build_graph(62, [5, 40]),
+                      graphs.ChordedCycleGraph(63), _singer_graph(8), _singer_graph(23)]:
+            text = graphs.export_graph(graph, GraphFormat.GRAPH6)
+            assert text.startswith("~") == (graph.n > 62)
+            assert graphs.import_graph(text, GraphFormat.GRAPH6) == graph
+        assert graphs.export_graph(graphs.ChordedCycleGraph(63), GraphFormat.GRAPH6)[:4] == "~??~"
+
+    def test_graph6_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        for graph in [graphs.build_graph(13, [8, 12]), graphs.ChordedCycleGraph(62),
+                      graphs.ChordedCycleGraph(63), _singer_graph(8), _singer_graph(23)]:
+            reference = nx.Graph()
+            reference.add_nodes_from(range(1, graph.n + 1))
+            reference.add_edges_from(graph.cycle_edges() + list(graph.chords))
+            expected = nx.to_graph6_bytes(reference, header=False).decode()
+            assert graphs.export_graph(graph, GraphFormat.GRAPH6) == expected
 
 
 class TestImport:
@@ -173,6 +192,14 @@ class TestImport:
             graphs.import_graph("B", GraphFormat.GRAPH6)          # truncated bits
         with pytest.raises(graphs.ParseError):
             graphs.import_graph("B" + chr(63 + 1), GraphFormat.GRAPH6)  # bad padding
+
+    def test_graph6_header_limits(self):
+        with pytest.raises(graphs.ParseError, match="truncated"):
+            graphs.import_graph("~?@", GraphFormat.GRAPH6)
+        with pytest.raises(graphs.ParseError, match="beyond 258047"):
+            graphs.import_graph("~~??????", GraphFormat.GRAPH6)
+        with pytest.raises(ValueError, match="at most 258047"):
+            graphs.export_graph(graphs.ChordedCycleGraph(258048), GraphFormat.GRAPH6)
 
     def test_graph6_without_hamilton_cycle(self):
         # triangle with one edge cleared: bits 110 -> value 48

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from cyclespec import singer
+from cyclespec import finite_field, singer
 
 
 PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9, 11, 13]
@@ -82,6 +82,21 @@ class TestConstruction:
     def test_deterministic(self):
         assert (singer.singer_difference_set(4).elements
                 == singer.singer_difference_set(4).elements)
+
+
+@pytest.mark.parametrize("q", [4, 5], ids=["tower", "prime"])
+def test_field_steps_go_through_module_attributes(monkeypatch, q):
+    # The benchmark's per-layer spans replace these three module attributes;
+    # the construction must keep looking them up there, once per step.
+    calls = {}
+    for name in ("find_irreducible", "extend", "find_primitive"):
+        def counting(*args, _name=name, _original=getattr(finite_field, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _original(*args)
+        monkeypatch.setattr(finite_field, name, counting)
+    singer.singer_difference_set(q)
+    steps = 2 if q == 4 else 1
+    assert calls == {"find_irreducible": steps, "extend": steps, "find_primitive": 1}
 
 
 class TestVerifier:
