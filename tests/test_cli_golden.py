@@ -1,0 +1,93 @@
+"""Frozen CLI behaviour: stdout, stderr and exit code over a fixed grid.
+
+``golden/cli.json`` maps each command line below to what ``cli.main``
+printed and returned for it.  ``PYTHONPATH=src python tests/test_cli_golden.py``
+records the file again from the code in the working tree; do that only for
+a deliberate change of output, never to make this test pass.
+"""
+
+import contextlib
+import io
+import json
+import os
+import pathlib
+
+import pytest
+
+from cyclespec import cli
+
+GOLDEN = pathlib.Path(__file__).parent / "golden" / "cli.json"
+
+GRAPH_FORMATS = ("edgelist", "dot", "graph6")
+# C4 plus the chord 1-3: two triangles, so verify exits 1
+REPEATED = "1 2\n2 3\n3 4\n4 1\n1 3\n"
+
+
+def _command_lines() -> list[str]:
+    lines = [f"{command} {q} --format {fmt}"
+             for command in ("singer", "derive", "spectrum")
+             for q in (2, 3, 4, 8, 9)
+             for fmt in ("tsv", "json")]
+    lines += [f"build {q} --format {fmt}"
+              for q in (2, 3, 8) for fmt in GRAPH_FORMATS]
+    lines += [f"exact-g {n} --format {fmt}"
+              for n in (4, 8, 12) for fmt in ("tsv", "json")]
+    lines += [f"exact-g 12 --budget 5 --format {fmt}" for fmt in ("tsv", "json")]
+    lines += [f"table 9 --format {fmt}" for fmt in ("tsv", "json")]
+    lines += [f"verify build-3.{fmt} --format {fmt}" for fmt in GRAPH_FORMATS]
+    lines += ["verify repeated.edgelist",
+              "singer 6", "table 1", "spectrum 2 --budget 2"]
+    return lines
+
+
+COMMAND_LINES = _command_lines()
+
+
+def _verify_input(name: str, golden: dict) -> str:
+    """Input text for a verify case: a recorded build, or the repeated graph."""
+    if name == "repeated.edgelist":
+        return REPEATED
+    q, fmt = name.removeprefix("build-").split(".")
+    return golden[f"build {q} --format {fmt}"]["stdout"]
+
+
+def _invoke(line: str, golden: dict, workdir: pathlib.Path) -> dict:
+    argv = line.split()
+    if argv[0] == "verify":
+        target = workdir / argv[1]
+        target.write_text(_verify_input(argv[1], golden))
+        argv[1] = str(target)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+def test_grid_is_recorded(golden):
+    assert list(golden) == COMMAND_LINES
+
+
+@pytest.mark.parametrize("line", COMMAND_LINES,
+                         ids=[line.replace(" ", "_") for line in COMMAND_LINES])
+def test_output_matches_golden(line, golden, tmp_path, monkeypatch):
+    monkeypatch.delenv(cli.BUDGET_ENV, raising=False)
+    assert _invoke(line, golden, tmp_path) == golden[line]
+
+
+def _record() -> None:
+    import tempfile
+    os.environ.pop(cli.BUDGET_ENV, None)
+    recorded: dict = {}
+    with tempfile.TemporaryDirectory() as workdir:
+        for line in COMMAND_LINES:
+            recorded[line] = _invoke(line, recorded, pathlib.Path(workdir))
+    GOLDEN.write_text(json.dumps(recorded, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    _record()
