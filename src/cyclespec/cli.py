@@ -8,10 +8,11 @@ Data goes to stdout (or --output), diagnostics to stderr.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
+import pathlib
 import sys
-from dataclasses import dataclass
 
 from . import cycleset, graphs, oracle, search, singer
 
@@ -22,18 +23,6 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-
-@dataclass
-class RunConfig:
-    """One parsed invocation."""
-
-    command: str
-    number: int | None = None    # q, n, or qmax depending on the command
-    path: str | None = None      # input file for verify
-    fmt: str = "tsv"
-    budget: int | None = None    # None = command default (or the env override)
-    output: str | None = None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,22 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    number = None
-    for attr in ("q", "n", "qmax"):
-        if hasattr(args, attr):
-            number = getattr(args, attr)
-    return RunConfig(command=args.command,
-                     number=number,
-                     path=getattr(args, "file", None),
-                     fmt=getattr(args, "format"),
-                     budget=getattr(args, "budget", None),
-                     output=args.output)
-
-
-def _effective_budget(config: RunConfig, fallback: int) -> int:
-    if config.budget is not None:
-        value = config.budget
+def _effective_budget(args: argparse.Namespace, fallback: int) -> int:
+    if args.budget is not None:
+        value = args.budget
     else:
         raw = os.environ.get(BUDGET_ENV)
         if raw is None:
@@ -117,23 +93,41 @@ def _effective_budget(config: RunConfig, fallback: int) -> int:
 
 
 def _nearest_prime_powers(q: int) -> str:
-    below = None
-    for candidate in range(q - 1, 1, -1):
-        if singer.prime_power(candidate) is not None:
-            below = candidate
-            break
-    above = max(q + 1, 2)
-    while singer.prime_power(above) is None:
-        above += 1
+    below = next(filter(singer.prime_power, range(q - 1, 1, -1)), None)
+    above = next(filter(singer.prime_power, itertools.count(max(q + 1, 2))))
     return f"{above}" if below is None else f"{below} and {above}"
 
 
-def _tsv(rows: list[tuple]) -> str:
-    return "".join("\t".join(str(cell) for cell in row) + "\n" for row in rows)
+def _cell(key: str, value) -> str:
+    """One TSV cell: sequences space-separated, chords as u-v, empty as -."""
+    if isinstance(value, bool) and key == "verified":
+        return "pass" if value else "fail"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (list, tuple)):
+        return " ".join("-".join(map(str, item)) if isinstance(item, (list, tuple))
+                        else str(item) for item in value) or "-"
+    return str(value)
 
 
-def _json(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+def _render(command: str, fmt: str, record: dict | str) -> str:
+    """The output text of one command: TSV when asked for, else JSON.
+
+    A serialized graph passes through as is.  TSV is a schema row, then one
+    key/value row per field, or for ``table`` a header row and one per q.
+    """
+    if isinstance(record, str):
+        return record
+    if fmt != "tsv":
+        return json.dumps({"schema": SCHEMA, "command": command, **record},
+                          indent=2) + "\n"
+    if command == "table":
+        rows = record["rows"]
+        lines = [list(rows[0])] + [map(_cell, row, row.values()) for row in rows]
+    else:
+        lines = [[key, _cell(key, value)] for key, value in record.items()]
+    return "".join("\t".join(line) + "\n"
+                   for line in [["schema", SCHEMA]] + lines)
 
 
 def _construction(q: int):
@@ -144,140 +138,76 @@ def _construction(q: int):
     return diffset, trace, graph
 
 
-def _cmd_singer(config: RunConfig) -> tuple[int, str]:
-    diffset = singer.singer_difference_set(config.number)
-    violation = singer.verify_perfect_difference_set(diffset)
-    ok = violation is None
-    if config.fmt == "json":
-        text = _json({
-            "schema": SCHEMA,
-            "command": "singer",
-            "q": config.number,
-            "n": diffset.n,
-            "size": diffset.k,
-            "elements": list(diffset.elements),
-            "verified": ok,
-        })
-    else:
-        text = _tsv([
-            ("schema", SCHEMA),
-            ("q", config.number),
-            ("n", diffset.n),
-            ("size", diffset.k),
-            ("elements", " ".join(map(str, diffset.elements))),
-            ("verified", "pass" if ok else "fail"),
-        ])
-    return (EXIT_OK if ok else EXIT_VERIFICATION), text
+def _cmd_singer(args: argparse.Namespace) -> tuple[int, dict]:
+    diffset = singer.singer_difference_set(args.q)
+    ok = singer.verify_perfect_difference_set(diffset) is None
+    return (EXIT_OK if ok else EXIT_VERIFICATION), {
+        "q": args.q,
+        "n": diffset.n,
+        "size": diffset.k,
+        "elements": diffset.elements,
+        "verified": ok,
+    }
 
 
-def _cmd_derive(config: RunConfig) -> tuple[int, str]:
-    diffset, trace, _ = _construction(config.number)
-    cycle_set = trace.cycle_set
-    if config.fmt == "json":
-        text = _json({
-            "schema": SCHEMA,
-            "command": "derive",
-            "q": config.number,
-            "n": diffset.n,
-            "difference_set": list(diffset.elements),
-            "pair": list(trace.pair),
-            "shifted": list(trace.shifted),
-            "cycle_set": list(cycle_set.elements),
-            "size": cycle_set.k,
-        })
-    else:
-        text = _tsv([
-            ("schema", SCHEMA),
-            ("q", config.number),
-            ("n", diffset.n),
-            ("difference_set", " ".join(map(str, diffset.elements))),
-            ("pair", " ".join(map(str, trace.pair))),
-            ("shifted", " ".join(map(str, trace.shifted))),
-            ("cycle_set", " ".join(map(str, cycle_set.elements))),
-            ("size", cycle_set.k),
-        ])
-    return EXIT_OK, text
+def _cmd_derive(args: argparse.Namespace) -> tuple[int, dict]:
+    diffset, trace, _ = _construction(args.q)
+    return EXIT_OK, {
+        "q": args.q,
+        "n": diffset.n,
+        "difference_set": diffset.elements,
+        "pair": trace.pair,
+        "shifted": trace.shifted,
+        "cycle_set": trace.cycle_set.elements,
+        "size": trace.cycle_set.k,
+    }
 
 
-def _cmd_build(config: RunConfig) -> tuple[int, str]:
-    _, _, graph = _construction(config.number)
-    return EXIT_OK, graphs.export_graph(graph, graphs.GraphFormat(config.fmt))
+def _cmd_build(args: argparse.Namespace) -> tuple[int, str]:
+    _, _, graph = _construction(args.q)
+    return EXIT_OK, graphs.export_graph(graph, graphs.GraphFormat(args.format))
 
 
-def _cmd_verify(config: RunConfig) -> tuple[int, str]:
-    with open(config.path, "r") as handle:
-        text = handle.read()
-    graph = graphs.import_graph(text, graphs.GraphFormat(config.fmt))
-    budget = _effective_budget(config, oracle.DEFAULT_CYCLE_BUDGET)
+def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
+    text = pathlib.Path(args.file).read_text()
+    graph = graphs.import_graph(text, graphs.GraphFormat(args.format))
+    budget = _effective_budget(args, oracle.DEFAULT_CYCLE_BUDGET)
     report = oracle.verification_report(graph, budget=budget)
-    payload = {"schema": SCHEMA, "command": "verify"}
-    payload.update(report)
-    code = EXIT_VERIFICATION if report["repeated"] else EXIT_OK
-    return code, _json(payload)
+    return (EXIT_VERIFICATION if report["repeated"] else EXIT_OK), report
 
 
-def _cmd_spectrum(config: RunConfig) -> tuple[int, str]:
-    diffset, trace, graph = _construction(config.number)
-    budget = _effective_budget(config, oracle.DEFAULT_CYCLE_BUDGET)
+def _cmd_spectrum(args: argparse.Namespace) -> tuple[int, dict]:
+    diffset, trace, graph = _construction(args.q)
+    budget = _effective_budget(args, oracle.DEFAULT_CYCLE_BUDGET)
     predicted = graphs.predicted_spectrum(diffset.n, trace.cycle_set.elements)
     enumerated = oracle.enumerate_cycles(graph, budget=budget)
     equal = predicted == enumerated
-    if config.fmt == "json":
-        text = _json({
-            "schema": SCHEMA,
-            "command": "spectrum",
-            "q": config.number,
-            "n": diffset.n,
-            "predicted": list(predicted.lengths),
-            "enumerated": list(enumerated.lengths),
-            "equal": equal,
-        })
-    else:
-        text = _tsv([
-            ("schema", SCHEMA),
-            ("q", config.number),
-            ("n", diffset.n),
-            ("predicted", " ".join(map(str, predicted.lengths))),
-            ("enumerated", " ".join(map(str, enumerated.lengths))),
-            ("equal", "true" if equal else "false"),
-        ])
-    return (EXIT_OK if equal else EXIT_VERIFICATION), text
+    return (EXIT_OK if equal else EXIT_VERIFICATION), {
+        "q": args.q,
+        "n": diffset.n,
+        "predicted": predicted.lengths,
+        "enumerated": enumerated.lengths,
+        "equal": equal,
+    }
 
 
-def _cmd_exact_g(config: RunConfig) -> tuple[int, str]:
-    budget = _effective_budget(config, search.DEFAULT_NODE_BUDGET)
-    result = search.exact_g(config.number, budget=budget)
-    chords = " ".join(f"{u}-{v}" for u, v in result.witness.chords) or "-"
-    if config.fmt == "json":
-        text = _json({
-            "schema": SCHEMA,
-            "command": "exact-g",
-            "n": result.n,
-            "g": result.g_value,
-            "witness_chords": [list(c) for c in result.witness.chords],
-            "nodes_explored": result.nodes_explored,
-            "exhaustive": result.exhaustive,
-        })
-    else:
-        text = _tsv([
-            ("schema", SCHEMA),
-            ("n", result.n),
-            ("g", result.g_value),
-            ("witness_chords", chords),
-            ("nodes_explored", result.nodes_explored),
-            ("exhaustive", "true" if result.exhaustive else "false"),
-        ])
-    return (EXIT_OK if result.exhaustive else EXIT_BUDGET), text
+def _cmd_exact_g(args: argparse.Namespace) -> tuple[int, dict]:
+    budget = _effective_budget(args, search.DEFAULT_NODE_BUDGET)
+    result = search.exact_g(args.n, budget=budget)
+    return (EXIT_OK if result.exhaustive else EXIT_BUDGET), {
+        "n": result.n,
+        "g": result.g_value,
+        "witness_chords": result.witness.chords,
+        "nodes_explored": result.nodes_explored,
+        "exhaustive": result.exhaustive,
+    }
 
 
-def _cmd_table(config: RunConfig) -> tuple[int, str]:
-    if config.number < 2:
+def _cmd_table(args: argparse.Namespace) -> tuple[int, dict]:
+    if args.qmax < 2:
         raise ValueError("qmax must be at least 2")
     rows = []
-    all_ok = True
-    for q in range(2, config.number + 1):
-        if singer.prime_power(q) is None:
-            continue
+    for q in filter(singer.prime_power, range(2, args.qmax + 1)):
         diffset, trace, graph = _construction(q)
         predicted = graphs.predicted_spectrum(diffset.n, trace.cycle_set.elements)
         enumerated = oracle.enumerate_cycles(graph)
@@ -286,7 +216,6 @@ def _cmd_table(config: RunConfig) -> tuple[int, str]:
               and diffset.n in enumerated)
         exact = oracle.singer_lower_bound_exact(diffset.n)
         assert exact is not None and exact.denominator == 1
-        all_ok = all_ok and ok
         rows.append({
             "q": q,
             "n": diffset.n,
@@ -296,14 +225,8 @@ def _cmd_table(config: RunConfig) -> tuple[int, str]:
             "bound": int(exact),
             "verified": ok,
         })
-    if config.fmt == "json":
-        text = _json({"schema": SCHEMA, "command": "table", "rows": rows})
-    else:
-        header = ("q", "n", "size", "edges", "construction", "bound", "verified")
-        body = [(r["q"], r["n"], r["size"], r["edges"], r["construction"],
-                 r["bound"], "pass" if r["verified"] else "fail") for r in rows]
-        text = _tsv([("schema", SCHEMA), header] + body)
-    return (EXIT_OK if all_ok else EXIT_VERIFICATION), text
+    all_ok = all(row["verified"] for row in rows)
+    return (EXIT_OK if all_ok else EXIT_VERIFICATION), {"rows": rows}
 
 
 _COMMANDS = {
@@ -319,34 +242,28 @@ _COMMANDS = {
 _NEEDS_PRIME_POWER = {"singer", "derive", "build", "spectrum"}
 
 
-def run(config: RunConfig) -> int:
-    """Execute one configured invocation; returns the exit code."""
-    if config.command in _NEEDS_PRIME_POWER:
-        if singer.prime_power(config.number) is None:
-            print(f"error: {config.number} is not a prime power "
-                  f"(nearest: {_nearest_prime_powers(config.number)})",
-                  file=sys.stderr)
-            return EXIT_USAGE
+def main(argv: list[str] | None = None) -> int:
+    """Run one invocation; returns the exit code."""
+    args = build_parser().parse_args(argv)
+    if args.command in _NEEDS_PRIME_POWER and singer.prime_power(args.q) is None:
+        print(f"error: {args.q} is not a prime power "
+              f"(nearest: {_nearest_prime_powers(args.q)})", file=sys.stderr)
+        return EXIT_USAGE
     try:
-        code, text = _COMMANDS[config.command](config)
+        code, record = _COMMANDS[args.command](args)
+        text = _render(args.command, args.format, record)
+        if args.output is None:
+            sys.stdout.write(text)
+        else:
+            pathlib.Path(args.output).write_text(text)
     except oracle.BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, OSError) as exc:
-        # covers parse errors, range errors, bad budgets, unreadable files
+        # parse, range and budget errors; unreadable input, unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if config.output is None:
-        sys.stdout.write(text)
-    else:
-        with open(config.output, "w") as handle:
-            handle.write(text)
     return code
-
-
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return run(_config_from_args(args))
 
 
 if __name__ == "__main__":

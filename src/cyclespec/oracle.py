@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .graphs import ChordedCycleGraph, CycleSpectrum
@@ -127,7 +127,6 @@ class BoundReport:
     C(k, 2) < n and 2c + (C(k, 2) - c) <= n must both hold.
     """
 
-    n: int
     chord_count: int
     crossing_count: int
     chord_pairs: int
@@ -143,7 +142,6 @@ def bound_report(graph: ChordedCycleGraph, spectrum: CycleSpectrum) -> BoundRepo
     crossings = crossing_pairs(graph)
     pairs = k * (k - 1) // 2
     report = BoundReport(
-        n=graph.n,
         chord_count=k,
         crossing_count=crossings,
         chord_pairs=pairs,
@@ -186,13 +184,5 @@ def verification_report(graph: ChordedCycleGraph,
         "chords": [list(chord) for chord in graph.chords],
         "spectrum": list(spectrum.lengths),
         "repeated": has_repeated_length(spectrum) is not None,
-        "bounds": {
-            "chord_count": report.chord_count,
-            "crossing_count": report.crossing_count,
-            "chord_pairs": report.chord_pairs,
-            "pair_bound_ok": report.pair_bound_ok,
-            "crossing_bound_ok": report.crossing_bound_ok,
-            "edge_upper_bound": report.edge_upper_bound,
-            "singer_lower_bound": report.singer_lower_bound,
-        },
+        "bounds": asdict(report),
     }

@@ -211,6 +211,14 @@ class TestHarness:
         assert code == 0 and out == "" and err == ""
         assert "0 1 3" in target.read_text()
 
+    @pytest.mark.parametrize("target", ["", "missing/out.tsv"],
+                             ids=["directory", "missing-directory"])
+    def test_unwritable_output_exits_two(self, capsys, tmp_path, target):
+        code, out, err = run_cli(capsys, "singer", "3",
+                                 "--output", str(tmp_path / target))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_unknown_command_usage_error(self, capsys):
         with pytest.raises(SystemExit) as info:
             cli.main(["no-such-command"])

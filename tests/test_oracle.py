@@ -190,6 +190,9 @@ class TestVerificationReport:
         assert report["chords"] == [[1, 8], [1, 12]]
         assert report["spectrum"] == [3, 6, 7, 8, 12, 13]
         assert report["repeated"] is False
+        assert list(report["bounds"]) == [
+            "chord_count", "crossing_count", "chord_pairs", "pair_bound_ok",
+            "crossing_bound_ok", "edge_upper_bound", "singer_lower_bound"]
         assert report["bounds"]["pair_bound_ok"] is True
         json.dumps(report)  # must be serializable as is
 
