@@ -21,6 +21,29 @@ GOLDEN = pathlib.Path(__file__).parent / "golden" / "cli.json"
 GRAPH_FORMATS = ("edgelist", "dot", "graph6")
 # C4 plus the chord 1-3: two triangles, so verify exits 1
 REPEATED = "1 2\n2 3\n3 4\n4 1\n1 3\n"
+# malformed or hostile graph text that verify must refuse with exit 2
+REFUSED = {
+    "empty.edgelist": "",
+    "one-label.edgelist": "1\n",
+    "three-labels.edgelist": "1 2 3\n",
+    "letters.edgelist": "a b\n",
+    "zero-label.edgelist": "0 2\n",
+    "missing-cycle-edge.edgelist": "1 2\n2 3\n",
+    "repeated-edge.edgelist": "1 2\n2 3\n3 1\n2 1\n",
+    "self-loop.edgelist": "1 2\n2 3\n3 1\n2 2\n",
+    "dot-header.edgelist": "graph {\n  1 -- 2;\n}\n",
+    "huge-label.edgelist": "1 2\n2 100000\n",
+    "no-semicolon.dot": "graph {\n  1 -- 2\n}\n",
+    "arrow.dot": "graph {\n  1 -> 2;\n}\n",
+    "no-edges.dot": "graph {\n}\n",
+    "zero-label.dot": "graph {\n  0 -- 1;\n}\n",
+    "two-lines.graph6": "Bw\nBw\n",
+    "truncated-bits.graph6": "B\n",
+    "bad-padding.graph6": "B@\n",
+    "truncated-header.graph6": "~?@\n",
+    "beyond-header.graph6": "~~??????\n",
+    "no-hamilton-cycle.graph6": "Bo\n",  # triangle with the edge 2-3 cleared
+}
 
 
 def _command_lines() -> list[str]:
@@ -37,6 +60,7 @@ def _command_lines() -> list[str]:
     lines += [f"verify build-3.{fmt} --format {fmt}" for fmt in GRAPH_FORMATS]
     lines += ["verify repeated.edgelist",
               "singer 6", "table 1", "spectrum 2 --budget 2"]
+    lines += [f"verify {name} --format {name.rsplit('.', 1)[1]}" for name in REFUSED]
     return lines
 
 
@@ -44,9 +68,12 @@ COMMAND_LINES = _command_lines()
 
 
 def _verify_input(name: str, golden: dict) -> str:
-    """Input text for a verify case: a recorded build, or the repeated graph."""
+    """Input text for a verify case: a recorded build, the repeated graph,
+    or one of the refused inputs."""
     if name == "repeated.edgelist":
         return REPEATED
+    if name in REFUSED:
+        return REFUSED[name]
     q, fmt = name.removeprefix("build-").split(".")
     return golden[f"build {q} --format {fmt}"]["stdout"]
 
