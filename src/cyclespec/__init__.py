@@ -19,7 +19,6 @@ from .cycleset import (
 )
 from .graphs import (
     ChordedCycleGraph,
-    CycleSpectrum,
     GraphFormat,
     build_graph,
     export_graph,
@@ -55,7 +54,6 @@ __all__ = [
     "ChordedCycleGraph",
     "CycleSetDerivation",
     "CycleSetViolation",
-    "CycleSpectrum",
     "DifferenceSetViolation",
     "DistinctCycleSet",
     "ExactResult",

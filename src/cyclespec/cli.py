@@ -185,8 +185,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> tuple[int, dict]:
     return (EXIT_OK if equal else EXIT_VERIFICATION), {
         "q": args.q,
         "n": diffset.n,
-        "predicted": predicted.lengths,
-        "enumerated": enumerated.lengths,
+        "predicted": predicted,
+        "enumerated": enumerated,
         "equal": equal,
     }
 

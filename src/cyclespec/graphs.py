@@ -3,24 +3,14 @@ serialization (edge list, DOT, graph6)."""
 
 from __future__ import annotations
 
+import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
 from .cycleset import complement_lengths, gap_lengths
-
-
-class ChordOutOfRange(ValueError):
-    """Chord endpoint outside the vertex range, or coinciding with a cycle edge."""
-
-
-class ParseError(ValueError):
-    """Serialized graph text is malformed."""
-
-
-class NoHamiltonCycleLabeled(ValueError):
-    """Edge set lacks the labeled cycle 1-2-...-n-1."""
 
 
 class GraphFormat(Enum):
@@ -47,10 +37,10 @@ class ChordedCycleGraph:
         for chord in self.chords:
             u, v = chord
             if not (1 <= u <= self.n and 1 <= v <= self.n) or u == v:
-                raise ChordOutOfRange(f"bad chord {chord} on {self.n} vertices")
+                raise ValueError(f"bad chord {chord} on {self.n} vertices")
             u, v = min(u, v), max(u, v)
             if v - u == 1 or (u == 1 and v == self.n):
-                raise ChordOutOfRange(f"chord {chord} duplicates a cycle edge")
+                raise ValueError(f"chord {chord} duplicates a cycle edge")
             normalized.append((u, v))
         ordered = tuple(sorted(normalized))
         if len(set(ordered)) != len(ordered):
@@ -75,35 +65,13 @@ class ChordedCycleGraph:
         return {v: tuple(sorted(ns)) for v, ns in neighbors.items()}
 
 
-@dataclass(frozen=True)
-class CycleSpectrum:
-    """Multiset of cycle lengths, stored sorted."""
-
-    lengths: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "lengths", tuple(sorted(self.lengths)))
-
-    def counts(self) -> Counter:
-        return Counter(self.lengths)
-
-    def __len__(self) -> int:
-        return len(self.lengths)
-
-    def __iter__(self):
-        return iter(self.lengths)
-
-    def __contains__(self, length: int) -> bool:
-        return length in self.lengths
-
-
 def _checked_anchors(n: int, values) -> list[int]:
     if n < 3:
         raise ValueError("need at least 3 vertices")
     anchors = sorted(values)
     for a in anchors:
         if not 3 <= a <= n - 1:
-            raise ChordOutOfRange(f"chord anchor {a} must lie in 3..{n - 1}")
+            raise ValueError(f"chord anchor {a} must lie in 3..{n - 1}")
     if len(set(anchors)) != len(anchors):
         raise ValueError("duplicate anchors")
     return anchors
@@ -115,18 +83,28 @@ def build_graph(n: int, values) -> ChordedCycleGraph:
     return ChordedCycleGraph(n, tuple((1, a) for a in anchors))
 
 
-def predicted_spectrum(n: int, values) -> CycleSpectrum:
+def predicted_spectrum(n: int, values) -> tuple[int, ...]:
     """Closed-form census of the cycle lengths of ``build_graph(n, values)``.
 
     Exactly one Hamilton cycle (length n); per anchor a the short and long
     single-chord cycles (lengths a and n + 2 - a); per anchor pair a < b one
     two-chord cycle (length b - a + 2).  1 + 2|S| + C(|S|, 2) cycles total,
     whatever the anchors are; distinctness of the entries is a separate
-    question answered by the cycle-set verifier.
+    question answered by the cycle-set verifier.  Returned sorted.
     """
     anchors = _checked_anchors(n, values)
     lengths = [n] + anchors + complement_lengths(anchors, n) + gap_lengths(anchors)
-    return CycleSpectrum(tuple(lengths))
+    return tuple(sorted(lengths))
+
+
+# Per text format: the opening line, the edge-line template, the closing
+# line, and what the error message says a malformed edge line should be.
+# Between its two fields the template holds the separator (blank: any
+# whitespace) and after them the terminator of an edge line.
+_TEXT_FORMATS = {
+    GraphFormat.EDGE_LIST: ("", "{} {}", "", "two vertex labels"),
+    GraphFormat.DOT: ("graph {", "  {} -- {};", "}", "'u -- v;'"),
+}
 
 
 def export_graph(graph: ChordedCycleGraph, fmt: GraphFormat) -> str:
@@ -135,19 +113,13 @@ def export_graph(graph: ChordedCycleGraph, fmt: GraphFormat) -> str:
     Edge list: one "u v" line per edge, cycle edges first in cycle order
     (so the last is "n 1"), then chords sorted ascending.
     """
-    if fmt is GraphFormat.EDGE_LIST:
-        lines = [f"{u} {v}" for u, v in graph.cycle_edges()]
-        lines += [f"{u} {v}" for u, v in graph.chords]
-        return "\n".join(lines) + "\n"
-    if fmt is GraphFormat.DOT:
-        lines = ["graph {"]
-        lines += [f"  {u} -- {v};" for u, v in graph.cycle_edges()]
-        lines += [f"  {u} -- {v};" for u, v in graph.chords]
-        lines.append("}")
-        return "\n".join(lines) + "\n"
     if fmt is GraphFormat.GRAPH6:
         return _to_graph6(graph) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
+    if fmt not in _TEXT_FORMATS:
+        raise ValueError(f"unknown format {fmt!r}")
+    opening, template, closing, _ = _TEXT_FORMATS[fmt]
+    lines = [template.format(u, v) for u, v in graph.cycle_edges() + list(graph.chords)]
+    return "".join(line + "\n" for line in [opening, *lines, closing] if line)
 
 
 def import_graph(text: str, fmt: GraphFormat) -> ChordedCycleGraph:
@@ -155,82 +127,61 @@ def import_graph(text: str, fmt: GraphFormat) -> ChordedCycleGraph:
 
     Vertex count is the largest label seen (edge list, DOT) or the header
     (graph6); consecutive labels and {n, 1} are the cycle, everything
-    else must be a valid chord.
+    else must be a valid chord.  Malformed text raises ValueError.
     """
-    if fmt is GraphFormat.EDGE_LIST:
-        edges = _parse_edge_lines(text)
-    elif fmt is GraphFormat.DOT:
-        edges = _parse_dot(text)
-    elif fmt is GraphFormat.GRAPH6:
+    if fmt is GraphFormat.GRAPH6:
         stripped = text.strip()
         if not stripped or any(ch.isspace() for ch in stripped):
-            raise ParseError("expected a single graph6 line")
-        n, edges = _from_graph6(stripped)
-        return _assemble(n, edges)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+            raise ValueError("expected a single graph6 line")
+        return _assemble(*_from_graph6(stripped))
+    edges = _parse_edges(text, fmt)
     if not edges:
-        raise ParseError("no edges found")
-    n = max(max(u, v) for u, v in edges)
-    return _assemble(n, edges)
+        raise ValueError("no edges found")
+    return _assemble(max(max(edge) for edge in edges), edges)
 
 
-def _parse_edge_lines(text: str) -> list[tuple[int, int]]:
+def _parse_edges(text: str, fmt: GraphFormat) -> list[tuple[int, int]]:
+    if fmt not in _TEXT_FORMATS:
+        raise ValueError(f"unknown format {fmt!r}")
+    opening, template, closing, expected = _TEXT_FORMATS[fmt]
+    _, separator, terminator = template.strip().split("{}")
     edges = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
-        if not stripped:
+        if stripped in ("", opening, closing):
             continue
-        parts = stripped.split()
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
-            raise ParseError(f"line {lineno}: expected two vertex labels, got {line!r}")
+        parts = stripped.removesuffix(terminator).split(separator.strip() or None)
+        parts = [part.strip() for part in parts]
+        if (not stripped.endswith(terminator) or len(parts) != 2
+                or not all(part.isdigit() for part in parts)):
+            raise ValueError(f"line {lineno}: expected {expected}, got {line!r}")
         u, v = int(parts[0]), int(parts[1])
         if u < 1 or v < 1:
-            raise ParseError(f"line {lineno}: vertex labels start at 1")
-        edges.append((u, v))
-    return edges
-
-
-def _parse_dot(text: str) -> list[tuple[int, int]]:
-    edges = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped in ("graph {", "}"):
-            continue
-        if not stripped.endswith(";"):
-            raise ParseError(f"line {lineno}: expected 'u -- v;', got {line!r}")
-        body = stripped[:-1]
-        parts = [p.strip() for p in body.split("--")]
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
-            raise ParseError(f"line {lineno}: expected 'u -- v;', got {line!r}")
-        u, v = int(parts[0]), int(parts[1])
-        if u < 1 or v < 1:
-            raise ParseError(f"line {lineno}: vertex labels start at 1")
+            raise ValueError(f"line {lineno}: vertex labels start at 1")
         edges.append((u, v))
     return edges
 
 
 def _assemble(n: int, edges: list[tuple[int, int]]) -> ChordedCycleGraph:
     if n < 3:
-        raise ParseError("need at least 3 vertices")
+        raise ValueError("need at least 3 vertices")
     multiplicity = Counter((min(u, v), max(u, v)) for u, v in edges)
     repeated = sorted(e for e, c in multiplicity.items() if c > 1)
     if repeated:
-        raise ParseError(f"repeated edge {repeated[0]}")
-    cycle = {(min(u, v), max(u, v)) for u, v in ChordedCycleGraph(n).cycle_edges()}
-    missing = sorted(e for e in cycle if e not in multiplicity)
-    if missing:
-        raise NoHamiltonCycleLabeled(f"missing cycle edge {missing[0]}")
-    chords = sorted(e for e in multiplicity if e not in cycle)
-    try:
-        return ChordedCycleGraph(n, tuple(chords))
-    except ValueError as exc:  # self-loops and similar malformed chords
-        raise ParseError(str(exc)) from exc
+        raise ValueError(f"repeated edge {repeated[0]}")
+    # the cycle edges in sorted order, scanned lazily: a missing one is found
+    # after at most len(edges) + 1 steps, however large n is
+    for edge in itertools.chain([(1, 2), (1, n)], ((i, i + 1) for i in range(2, n))):
+        if edge not in multiplicity:
+            raise ValueError(f"missing cycle edge {edge}")
+    chords = sorted((u, v) for u, v in multiplicity if v - u != 1 and (u, v) != (1, n))
+    return ChordedCycleGraph(n, tuple(chords))  # rejects self-loops
 
 
 # graph6: the vertex count (one byte n + 63 for n <= 62, otherwise "~" and
 # three 6-bit bytes), then the upper-triangle adjacency bits in column order,
-# packed big-endian into 6-bit groups, each offset by 63.
+# packed big-endian into 6-bit groups, each offset by 63.  The pair u < v
+# (labels from 1) is bit (v - 1)(v - 2)/2 + u - 1.
 GRAPH6_MAX_VERTICES = 258047  # the largest n the "~" + 3-byte header carries
 
 
@@ -238,51 +189,38 @@ def _to_graph6(graph: ChordedCycleGraph) -> str:
     n = graph.n
     if n > GRAPH6_MAX_VERTICES:
         raise ValueError(f"graph6 output supports at most {GRAPH6_MAX_VERTICES} vertices")
-    adjacent = set()
+    groups = [0] * ((n * (n - 1) // 2 + 5) // 6)
     for u, v in graph.cycle_edges() + list(graph.chords):
-        adjacent.add((min(u, v) - 1, max(u, v) - 1))
-    bits = []
-    for column in range(1, n):
-        for row in range(column):
-            bits.append(1 if (row, column) in adjacent else 0)
+        u, v = min(u, v), max(u, v)
+        index = (v - 1) * (v - 2) // 2 + u - 1
+        groups[index // 6] |= 32 >> index % 6
     header = [n] if n <= 62 else [63, n >> 12, (n >> 6) & 63, n & 63]
-    chars = [chr(value + 63) for value in header]
-    for start in range(0, len(bits), 6):
-        chunk = bits[start:start + 6]
-        chunk += [0] * (6 - len(chunk))
-        value = 0
-        for bit in chunk:
-            value = value * 2 + bit
-        chars.append(chr(value + 63))
-    return "".join(chars)
+    return "".join(chr(value + 63) for value in header + groups)
 
 
 def _from_graph6(line: str) -> tuple[int, list[tuple[int, int]]]:
     data = [ord(ch) - 63 for ch in line]
     if not data or not all(0 <= d < 64 for d in data):
-        raise ParseError("invalid graph6 characters")
+        raise ValueError("invalid graph6 characters")
     if data[0] < 63:
         n, data = data[0], data[1:]
     elif len(data) < 4:
-        raise ParseError("truncated graph6 header")
+        raise ValueError("truncated graph6 header")
     elif data[1] == 63:
-        raise ParseError(f"graph6 input beyond {GRAPH6_MAX_VERTICES} vertices is unsupported")
+        raise ValueError(f"graph6 input beyond {GRAPH6_MAX_VERTICES} vertices is unsupported")
     else:
         n, data = (data[1] << 12) | (data[2] << 6) | data[3], data[4:]
     need = n * (n - 1) // 2
     if len(data) != (need + 5) // 6:
-        raise ParseError("graph6 bit vector has the wrong length")
-    bits = []
-    for d in data:
-        for shift in range(5, -1, -1):
-            bits.append((d >> shift) & 1)
-    if any(bits[need:]):
-        raise ParseError("graph6 padding bits must be zero")
+        raise ValueError("graph6 bit vector has the wrong length")
     edges = []
-    index = 0
-    for column in range(1, n):
-        for row in range(column):
-            if bits[index]:
-                edges.append((row + 1, column + 1))
-            index += 1
+    for position, value in enumerate(data):
+        while value:  # set bits only, highest (first in the vector) first
+            top = value.bit_length() - 1
+            value ^= 1 << top
+            index = 6 * position + 5 - top
+            if index >= need:
+                raise ValueError("graph6 padding bits must be zero")
+            column = (1 + math.isqrt(8 * index + 1)) // 2  # v - 1
+            edges.append((index - column * (column - 1) // 2 + 1, column + 1))
     return n, edges

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .graphs import ChordedCycleGraph, CycleSpectrum
+from .graphs import ChordedCycleGraph
 
 DEFAULT_CYCLE_BUDGET = 10 ** 6
 
@@ -31,8 +32,8 @@ class InternalInconsistency(RuntimeError):
 
 
 def enumerate_cycles(graph: ChordedCycleGraph,
-                     budget: int = DEFAULT_CYCLE_BUDGET) -> CycleSpectrum:
-    """Exact multiset of simple-cycle lengths, found by backtracking.
+                     budget: int = DEFAULT_CYCLE_BUDGET) -> tuple[int, ...]:
+    """Exact multiset of simple-cycle lengths, sorted, found by backtracking.
 
     Each cycle is emitted exactly once, canonicalized by its least vertex
     and by the traversal direction whose second vertex is smaller.  Works
@@ -60,13 +61,13 @@ def enumerate_cycles(graph: ChordedCycleGraph,
                 path.append(step)
                 on_path.add(step)
                 pending.append(iter(adjacency[step]))
-    return CycleSpectrum(tuple(lengths))
+    return tuple(sorted(lengths))
 
 
-def has_repeated_length(spectrum: CycleSpectrum) -> int | None:
-    """Smallest length occurring at least twice, or None."""
+def has_repeated_length(lengths: Iterable[int]) -> int | None:
+    """Smallest length occurring at least twice, or None; any order."""
     previous = None
-    for length in spectrum.lengths:
+    for length in sorted(lengths):
         if length == previous:
             return length
         previous = length
@@ -136,7 +137,7 @@ class BoundReport:
     singer_lower_bound: float    # n + sqrt(n - 3/4) - 3/2
 
 
-def bound_report(graph: ChordedCycleGraph, spectrum: CycleSpectrum) -> BoundReport:
+def bound_report(graph: ChordedCycleGraph, spectrum: Iterable[int]) -> BoundReport:
     """Evaluate both bounds; their failure on a repeat-free spectrum is a bug."""
     k = len(graph.chords)
     crossings = crossing_pairs(graph)
@@ -182,7 +183,7 @@ def verification_report(graph: ChordedCycleGraph,
         "n": graph.n,
         "edges": graph.edge_count,
         "chords": [list(chord) for chord in graph.chords],
-        "spectrum": list(spectrum.lengths),
+        "spectrum": list(spectrum),
         "repeated": has_repeated_length(spectrum) is not None,
         "bounds": asdict(report),
     }
