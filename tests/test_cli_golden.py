@@ -54,8 +54,9 @@ def _command_lines() -> list[str]:
     lines += [f"build {q} --format {fmt}"
               for q in (2, 3, 8) for fmt in GRAPH_FORMATS]
     lines += [f"exact-g {n} --format {fmt}"
-              for n in (4, 8, 12) for fmt in ("tsv", "json")]
-    lines += [f"exact-g 12 --budget 5 --format {fmt}" for fmt in ("tsv", "json")]
+              for n in (4, 8, 12, 13, 14, 15, 16, 17) for fmt in ("tsv", "json")]
+    lines += [f"exact-g {n} --budget {budget} --format {fmt}"
+              for n, budget in ((12, 5), (16, 5000)) for fmt in ("tsv", "json")]
     lines += [f"table 9 --format {fmt}" for fmt in ("tsv", "json")]
     lines += [f"verify build-3.{fmt} --format {fmt}" for fmt in GRAPH_FORMATS]
     lines += ["verify repeated.edgelist",
