@@ -12,6 +12,9 @@ from cyclespec.graphs import ChordedCycleGraph
 
 # maximum edge counts; n <= 9 re-derived below by a naive sweep
 KNOWN_G = {3: 3, 4: 4, 5: 6, 6: 7, 7: 8, 8: 10, 9: 11, 10: 12, 11: 13, 12: 14}
+# exact values beyond the golden CLI grid, with their least witnesses
+LARGE_G = {19: (23, ((1, 3), (1, 6), (1, 12), (1, 14))),
+           20: (24, ((1, 3), (1, 5), (1, 10), (1, 14)))}
 
 
 def _chord_pool(n):
@@ -43,6 +46,46 @@ class TestHelpers:
         for mapping in search.dihedral_maps(9):
             moved = search.relabel(graph, mapping)
             assert oracle.enumerate_cycles(moved) == spectrum
+
+
+def _pair_canonical(chords, maps):
+    """The pair-sorting orbit test the search used before image tables:
+    chords (sorted pairs) are least among their images under every map."""
+    for mapping in maps:
+        image = sorted((min(mapping[u], mapping[v]), max(mapping[u], mapping[v]))
+                       for u, v in chords)
+        if tuple(image) < chords:
+            return False
+    return True
+
+
+def _assert_same_canonicity(n, subsets):
+    pool = _chord_pool(n)
+    maps = search.dihedral_maps(n)
+    images = search._image_tables(pool, maps)
+    for subset in subsets:
+        chords = tuple(pool[index] for index in subset)
+        assert search._is_canonical(list(subset), images) == \
+            _pair_canonical(chords, maps), (n, chords)
+
+
+class TestCanonicity:
+    def test_identity_comes_first(self):
+        for n in (3, 5, 8):
+            assert search.dihedral_maps(n)[0] == tuple(range(n + 1))
+
+    @pytest.mark.parametrize("n", range(5, 12))
+    def test_tables_match_pair_sorting_on_small_subsets(self, n):
+        size = len(_chord_pool(n))
+        _assert_same_canonicity(n, (subset for k in range(4)
+                                    for subset in itertools.combinations(range(size), k)))
+
+    @pytest.mark.parametrize("n", range(8, 18))
+    def test_tables_match_pair_sorting_on_random_subsets(self, n):
+        rng = random.Random(n)
+        size = len(_chord_pool(n))
+        _assert_same_canonicity(n, (sorted(rng.sample(range(size), rng.choice((4, 5))))
+                                    for _ in range(2000)))
 
 
 class TestIncrementalLengths:
@@ -106,13 +149,26 @@ class TestExactSearch:
     def test_agrees_with_naive_sweep(self, n):
         assert search.exact_g(n).g_value == _naive_g(n)
 
-    @pytest.mark.parametrize("n", range(3, 11))
+    @pytest.mark.parametrize("n", range(3, 15))
     def test_pruning_does_not_change_answers(self, n):
         pruned = search.exact_g(n, canonical=True)
         plain = search.exact_g(n, canonical=False)
         assert pruned.g_value == plain.g_value
         assert pruned.witness == plain.witness  # both lexicographically least
         assert pruned.nodes_explored <= plain.nodes_explored
+
+    @pytest.mark.parametrize("n", sorted(LARGE_G))
+    def test_large_values(self, n):
+        g_value, chords = LARGE_G[n]
+        result = search.exact_g(n)
+        assert result.exhaustive
+        assert (result.g_value, result.witness.chords) == (g_value, chords)
+        assert g_value < n + math.sqrt(2 * n) + 1
+        nx = pytest.importorskip("networkx")
+        graph = nx.Graph(list(result.witness.cycle_edges()) + list(chords))
+        lengths = sorted(len(cycle) for cycle in nx.simple_cycles(graph))
+        assert tuple(lengths) == oracle.enumerate_cycles(result.witness)
+        assert len(set(lengths)) == len(lengths)
 
     def test_trivial_witnesses(self):
         assert search.exact_g(3).witness.chords == ()
