@@ -153,7 +153,7 @@ def _parse_edges(text: str, fmt: GraphFormat) -> list[tuple[int, int]]:
         parts = stripped.removesuffix(terminator).split(separator.strip() or None)
         parts = [part.strip() for part in parts]
         if (not stripped.endswith(terminator) or len(parts) != 2
-                or not all(part.isdigit() for part in parts)):
+                or not all(part.isascii() and part.isdigit() for part in parts)):
             raise ValueError(f"line {lineno}: expected {expected}, got {line!r}")
         u, v = int(parts[0]), int(parts[1])
         if u < 1 or v < 1:

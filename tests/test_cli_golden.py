@@ -33,6 +33,8 @@ REFUSED = {
     "self-loop.edgelist": "1 2\n2 3\n3 1\n2 2\n",
     "dot-header.edgelist": "graph {\n  1 -- 2;\n}\n",
     "huge-label.edgelist": "1 2\n2 100000\n",
+    "superscript-digit.edgelist": "1 \u00b2\n",
+    "arabic-indic-digit.edgelist": "1 2\n2 \u0663\n1 3\n",  # the digit 3
     "no-semicolon.dot": "graph {\n  1 -- 2\n}\n",
     "arrow.dot": "graph {\n  1 -> 2;\n}\n",
     "no-edges.dot": "graph {\n}\n",

@@ -183,6 +183,18 @@ class TestImport:
             with _raises(message):
                 graphs.import_graph(text, GraphFormat.EDGE_LIST)
 
+    def test_non_ascii_digits_refused(self):
+        # str.isdigit accepts these, int() rejects '²' and reads '٣' as 3
+        for text, fmt, message in [
+                ("1 \u00b2\n", GraphFormat.EDGE_LIST,
+                 "line 1: expected two vertex labels, got '1 \u00b2'"),
+                ("1 2\n2 \u0663\n1 3\n", GraphFormat.EDGE_LIST,
+                 "line 2: expected two vertex labels, got '2 \u0663'"),
+                ("graph {\n  1 -- \u0663;\n}\n", GraphFormat.DOT,
+                 "line 2: expected 'u -- v;', got '  1 -- \u0663;'")]:
+            with _raises(message):
+                graphs.import_graph(text, fmt)
+
     def test_repeated_edge(self):
         with _raises("repeated edge (1, 2)"):
             graphs.import_graph("1 2\n2 3\n3 1\n2 1\n", GraphFormat.EDGE_LIST)
