@@ -131,10 +131,10 @@ def _render(command: str, fmt: str, record: dict | str) -> str:
 
 
 def _construction(q: int):
-    """Shared pipeline: difference set -> cycle set -> graph."""
+    """Shared pipeline: difference set -> anchors -> graph."""
     diffset = singer.singer_difference_set(q)
     trace = cycleset.derive_cycle_set_trace(diffset)
-    graph = graphs.build_graph(diffset.n, trace.cycle_set.elements)
+    graph = graphs.build_graph(diffset.n, trace.anchors)
     return diffset, trace, graph
 
 
@@ -158,8 +158,8 @@ def _cmd_derive(args: argparse.Namespace) -> tuple[int, dict]:
         "difference_set": diffset.elements,
         "pair": trace.pair,
         "shifted": trace.shifted,
-        "cycle_set": trace.cycle_set.elements,
-        "size": trace.cycle_set.k,
+        "cycle_set": trace.anchors,
+        "size": len(trace.anchors),
     }
 
 
@@ -179,7 +179,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
 def _cmd_spectrum(args: argparse.Namespace) -> tuple[int, dict]:
     diffset, trace, graph = _construction(args.q)
     budget = _effective_budget(args, oracle.DEFAULT_CYCLE_BUDGET)
-    predicted = graphs.predicted_spectrum(diffset.n, trace.cycle_set.elements)
+    predicted = graphs.predicted_spectrum(diffset.n, trace.anchors)
     enumerated = oracle.enumerate_cycles(graph, budget=budget)
     equal = predicted == enumerated
     return (EXIT_OK if equal else EXIT_VERIFICATION), {
@@ -209,7 +209,7 @@ def _cmd_table(args: argparse.Namespace) -> tuple[int, dict]:
     rows = []
     for q in filter(singer.prime_power, range(2, args.qmax + 1)):
         diffset, trace, graph = _construction(q)
-        predicted = graphs.predicted_spectrum(diffset.n, trace.cycle_set.elements)
+        predicted = graphs.predicted_spectrum(diffset.n, trace.anchors)
         enumerated = oracle.enumerate_cycles(graph)
         ok = (predicted == enumerated
               and oracle.has_repeated_length(enumerated) is None
@@ -219,7 +219,7 @@ def _cmd_table(args: argparse.Namespace) -> tuple[int, dict]:
         rows.append({
             "q": q,
             "n": diffset.n,
-            "size": trace.cycle_set.k,
+            "size": len(trace.anchors),
             "edges": graph.edge_count,
             "construction": q * q + 2 * q,
             "bound": int(exact),

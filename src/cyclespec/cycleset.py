@@ -1,162 +1,47 @@
-"""Distinct cycle sets, and their derivation from perfect difference sets.
+"""Chord anchors derived from a perfect difference set.
 
-A distinct cycle set for the n-cycle is a set S of chord anchors in
-{3..n-1} such that the three length families a cycle-plus-chords graph
-realizes -- S itself, the complements {n + 2 - a}, and the pair gaps
-{b - a + 2} -- are internally repeat-free and pairwise disjoint.
+A perfect difference set on n residues has exactly one ordered pair
+differing by 2 mod n.  Shifting by the pair's smaller member puts both 2
+and n (residue 0, read as n) into the set and keeps 1 out; dropping {2, n}
+leaves anchors whose lengths a, n + 2 - a and b - a + 2 are pairwise
+distinct, that is, whose census ``graphs.predicted_spectrum`` repeats no
+length.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from enum import Enum
 
-from .singer import PerfectDifferenceSet
-
-
-class NoPairDifferenceTwo(ValueError):
-    """No unique ordered pair of the input set differs by 2 mod n."""
-
-
-class ViolationKind(Enum):
-    RANGE = "range"
-    REPEATED_DIFFERENCE = "repeated-difference"
-    COMPLEMENT_OVERLAP = "complement-overlap"          # S meets {n + 2 - a}
-    GAP_OVERLAP = "gap-overlap"                        # S meets {b - a + 2}
-    COMPLEMENT_GAP_OVERLAP = "complement-gap-overlap"  # the two derived sets meet
-
-
-@dataclass(frozen=True)
-class CycleSetViolation:
-    """First failed condition, with the elements that realize the failure."""
-
-    kind: ViolationKind
-    witness: tuple[int, ...]
-
-
-def complement_lengths(values, n: int) -> list[int]:
-    """Lengths n + 2 - a: the cycle through one chord, the long way around."""
-    return [n + 2 - a for a in values]
-
-
-def gap_lengths(values) -> list[int]:
-    """Lengths b - a + 2 over increasing pairs: cycles through two chords."""
-    ordered = sorted(values)
-    return [b - a + 2 for a, b in itertools.combinations(ordered, 2)]
-
-
-def verify_distinct_cycle_set(values, n: int) -> CycleSetViolation | None:
-    """Check the distinct-cycle-set conditions; None means all hold.
-
-    Classifies every input rather than assuming preconditions.  Checks run
-    in a fixed order (range, repeated difference, then the three overlaps,
-    each scanned in ascending element order), so the reported violation is
-    deterministic.  Witnesses re-check arithmetically:
-
-      RANGE                    (a,)          a outside 3..n-1, or duplicated
-      REPEATED_DIFFERENCE      (a, b, c, d)  b - a == d - c
-      COMPLEMENT_OVERLAP       (a, b)        b == n + 2 - a
-      GAP_OVERLAP              (a, b, c)     c == b - a + 2
-      COMPLEMENT_GAP_OVERLAP   (a, b, c)     b - a + 2 == n + 2 - c
-    """
-    if n < 4:
-        raise ValueError("need n >= 4")
-    ordered = sorted(values)
-    seen: set[int] = set()
-    for a in ordered:
-        if not 3 <= a <= n - 1 or a in seen:
-            return CycleSetViolation(ViolationKind.RANGE, (a,))
-        seen.add(a)
-
-    pair_by_difference: dict[int, tuple[int, int]] = {}
-    for a, b in itertools.combinations(ordered, 2):
-        difference = b - a
-        if difference in pair_by_difference:
-            return CycleSetViolation(ViolationKind.REPEATED_DIFFERENCE,
-                                     pair_by_difference[difference] + (a, b))
-        pair_by_difference[difference] = (a, b)
-
-    source_by_complement = {n + 2 - a: a for a in ordered}
-    for b in ordered:
-        if b in source_by_complement:
-            return CycleSetViolation(ViolationKind.COMPLEMENT_OVERLAP,
-                                     (source_by_complement[b], b))
-
-    pair_by_gap = {}
-    for a, b in itertools.combinations(ordered, 2):
-        pair_by_gap.setdefault(b - a + 2, (a, b))
-    for c in ordered:
-        if c in pair_by_gap:
-            return CycleSetViolation(ViolationKind.GAP_OVERLAP,
-                                     pair_by_gap[c] + (c,))
-
-    for c in ordered:
-        complement = n + 2 - c
-        if complement in pair_by_gap:
-            return CycleSetViolation(ViolationKind.COMPLEMENT_GAP_OVERLAP,
-                                     pair_by_gap[complement] + (c,))
-    return None
-
-
-@dataclass(frozen=True)
-class DistinctCycleSet:
-    """A verified distinct cycle set for the n-cycle."""
-
-    n: int
-    elements: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(sorted(self.elements)))
-        violation = verify_distinct_cycle_set(self.elements, self.n)
-        if violation is not None:
-            raise ValueError(f"not a distinct cycle set: {violation}")
-
-    @property
-    def k(self) -> int:
-        return len(self.elements)
+from . import graphs, oracle, singer
 
 
 @dataclass(frozen=True)
 class CycleSetDerivation:
-    """Intermediate values of the difference-set-to-cycle-set conversion."""
+    """Intermediate values of the difference-set-to-anchors conversion."""
 
     pair: tuple[int, int]        # (a0, b0) with a0 - b0 = 2 mod n
     shifted: tuple[int, ...]     # the translate by b0, viewed inside {1..n}
-    cycle_set: DistinctCycleSet
+    anchors: tuple[int, ...]     # shifted without 2 and n
 
 
-def derive_cycle_set(diffset: PerfectDifferenceSet) -> DistinctCycleSet:
-    """Distinct cycle set of size k - 2 from a perfect difference set."""
-    return derive_cycle_set_trace(diffset).cycle_set
+def derive_cycle_set(diffset: singer.PerfectDifferenceSet) -> tuple[int, ...]:
+    """The k - 2 sorted chord anchors derived from a perfect difference set."""
+    return derive_cycle_set_trace(diffset).anchors
 
 
-def derive_cycle_set_trace(diffset: PerfectDifferenceSet) -> CycleSetDerivation:
+def derive_cycle_set_trace(diffset: singer.PerfectDifferenceSet) -> CycleSetDerivation:
     """Run the conversion, keeping the shift pair and translate.
 
-    A perfect difference set has exactly one ordered pair differing by 2
-    mod n.  Shifting by the pair's smaller member puts both 2 and n (residue
-    0, read as n) into the set and keeps 1 out; dropping {2, n} leaves a set
-    whose pairwise differences are still distinct and whose three length
-    families cannot meet.
+    Refuses with ValueError anything that is not a perfect difference set
+    of at least 3 elements, and re-checks the anchors against the census.
     """
+    if diffset.k < 3 or singer.verify_perfect_difference_set(diffset) is not None:
+        raise ValueError("need a perfect difference set of at least 3 elements")
     n = diffset.n
-    if n < 7:
-        raise ValueError("need n >= 7")
-    if diffset.k < 3:
-        raise ValueError("need at least 3 elements")
-    pairs = [(a, b)
-             for a in diffset.elements
-             for b in diffset.elements
-             if a != b and (a - b) % n == 2]
-    if len(pairs) != 1:
-        raise NoPairDifferenceTwo(
-            f"{len(pairs)} ordered pairs differ by 2 mod {n}; need exactly 1")
-    anchor, shift = pairs[0]
-    translated = sorted((a - shift) % n or n for a in diffset.elements)
-    assert 2 in translated and n in translated
-    assert 1 not in translated, "1 would duplicate the difference covering 1"
-    kept = tuple(x for x in translated if x not in (2, n))
-    assert len(kept) == diffset.k - 2
-    return CycleSetDerivation((anchor, shift), tuple(translated),
-                              DistinctCycleSet(n, kept))
+    anchor, shift = next((a, b) for a in diffset.elements for b in diffset.elements
+                         if (a - b) % n == 2)
+    shifted = tuple(sorted((a - shift) % n or n for a in diffset.elements))
+    anchors = tuple(x for x in shifted if x not in (2, n))
+    if oracle.has_repeated_length(graphs.predicted_spectrum(n, anchors)) is not None:
+        raise oracle.InternalInconsistency(f"derived anchors {anchors} repeat a length")
+    return CycleSetDerivation((anchor, shift), shifted, anchors)

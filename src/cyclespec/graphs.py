@@ -10,8 +10,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
-from .cycleset import complement_lengths, gap_lengths
-
 
 class GraphFormat(Enum):
     EDGE_LIST = "edgelist"
@@ -89,11 +87,12 @@ def predicted_spectrum(n: int, values) -> tuple[int, ...]:
     Exactly one Hamilton cycle (length n); per anchor a the short and long
     single-chord cycles (lengths a and n + 2 - a); per anchor pair a < b one
     two-chord cycle (length b - a + 2).  1 + 2|S| + C(|S|, 2) cycles total,
-    whatever the anchors are; distinctness of the entries is a separate
-    question answered by the cycle-set verifier.  Returned sorted.
+    whatever the anchors are; whether a length repeats is for
+    ``oracle.has_repeated_length`` to say.  Returned sorted.
     """
     anchors = _checked_anchors(n, values)
-    lengths = [n] + anchors + complement_lengths(anchors, n) + gap_lengths(anchors)
+    lengths = [n, *anchors, *(n + 2 - a for a in anchors),
+               *(b - a + 2 for a, b in itertools.combinations(anchors, 2))]
     return tuple(sorted(lengths))
 
 

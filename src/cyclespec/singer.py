@@ -14,10 +14,6 @@ from dataclasses import dataclass
 from . import finite_field as ff
 
 
-class NotPrimePower(ValueError):
-    """q is not p^m for a single prime p (or is smaller than 2)."""
-
-
 @dataclass(frozen=True)
 class PerfectDifferenceSet:
     """Residues mod n; perfect when ordered differences cover 1..n-1 once each."""
@@ -68,7 +64,7 @@ def singer_difference_set(q: int) -> PerfectDifferenceSet:
     """
     decomposition = prime_power(q)
     if decomposition is None:
-        raise NotPrimePower(f"{q} is not a prime power")
+        raise ValueError(f"{q} is not a prime power")
     p, m = decomposition
     ground = ff.prime_field(p)
     mid = ground if m == 1 else ff.tables(ff.extend(ground, ff.find_irreducible(ground, m)))
@@ -105,12 +101,6 @@ def verify_perfect_difference_set(candidate: PerfectDifferenceSet,
         if len(pairs) != 1:
             return DifferenceSetViolation(residue, len(pairs), tuple(sorted(pairs)))
     return None
-
-
-def translate(diffset: PerfectDifferenceSet, shift: int) -> PerfectDifferenceSet:
-    """Shift every element by -shift mod n; perfectness is preserved."""
-    moved = sorted((a - shift) % diffset.n for a in diffset.elements)
-    return PerfectDifferenceSet(diffset.n, tuple(moved))
 
 
 def brute_force_difference_set(n: int, k: int) -> PerfectDifferenceSet | None:

@@ -1,12 +1,17 @@
-"""Derivation of distinct cycle sets and the five-way violation classifier."""
+"""Derivation of chord anchors from perfect difference sets, and the census
+check it runs on them."""
 
 import random
-from collections import Counter
 
 import pytest
 
-from cyclespec import cycleset, singer
-from cyclespec.cycleset import ViolationKind
+from cyclespec import cycleset, graphs, oracle, singer
+
+PERFECT = "need a perfect difference set of at least 3 elements"
+
+
+def _translate(d, shift):
+    return singer.PerfectDifferenceSet(d.n, tuple(sorted((a - shift) % d.n for a in d.elements)))
 
 
 class TestDerivation:
@@ -15,146 +20,97 @@ class TestDerivation:
             singer.PerfectDifferenceSet(7, (1, 2, 4)))
         assert trace.pair == (4, 2)
         assert trace.shifted == (2, 6, 7)
-        assert trace.cycle_set.elements == (6,)
+        assert trace.anchors == (6,)
 
     def test_thirteen_vertex_example(self):
         trace = cycleset.derive_cycle_set_trace(
             singer.PerfectDifferenceSet(13, (0, 1, 3, 9)))
         assert trace.pair == (3, 1)
         assert trace.shifted == (2, 8, 12, 13)
-        assert trace.cycle_set.elements == (8, 12)
+        assert trace.anchors == (8, 12)
+        assert cycleset.derive_cycle_set(singer.singer_difference_set(3)) == (8, 12)
 
     def test_size_drops_by_two(self):
         for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
-            diffset = singer.singer_difference_set(q)
-            derived = cycleset.derive_cycle_set(diffset)
-            assert derived.n == diffset.n
-            assert derived.k == q - 1
+            anchors = cycleset.derive_cycle_set(singer.singer_difference_set(q))
+            assert len(anchors) == q - 1
+            assert list(anchors) == sorted(anchors)
 
     def test_small_inputs_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=PERFECT):
             cycleset.derive_cycle_set(singer.PerfectDifferenceSet(5, (0, 2, 3)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=PERFECT):
             cycleset.derive_cycle_set(singer.PerfectDifferenceSet(13, (0, 2)))
 
     def test_no_pair_at_difference_two(self):
-        with pytest.raises(cycleset.NoPairDifferenceTwo):
+        with pytest.raises(ValueError, match=PERFECT):
             cycleset.derive_cycle_set(singer.PerfectDifferenceSet(13, (0, 4, 8)))
 
     def test_ambiguous_pair_rejected(self):
         # both (2, 0) and (4, 2) differ by two
-        with pytest.raises(cycleset.NoPairDifferenceTwo):
+        with pytest.raises(ValueError, match=PERFECT):
             cycleset.derive_cycle_set(singer.PerfectDifferenceSet(13, (0, 2, 4)))
+
+    @pytest.mark.parametrize("elements", [(0, 1, 2), (0, 1, 2, 5), (0, 1, 3)])
+    def test_imperfect_sets_rejected(self, elements):
+        # the first two would put 1 into the translate, the third derives (12,)
+        with pytest.raises(ValueError, match=PERFECT):
+            cycleset.derive_cycle_set(singer.PerfectDifferenceSet(13, elements))
 
     def test_translation_invariant(self):
         rng = random.Random(11)
         for q in (2, 3, 4):
             diffset = singer.singer_difference_set(q)
-            baseline = cycleset.derive_cycle_set(diffset).elements
+            baseline = cycleset.derive_cycle_set(diffset)
             for _ in range(10):
-                moved = singer.translate(diffset, rng.randrange(diffset.n))
-                assert cycleset.derive_cycle_set(moved).elements == baseline
+                moved = _translate(diffset, rng.randrange(diffset.n))
+                assert cycleset.derive_cycle_set(moved) == baseline
+
+    def test_census_check_goes_through_module_attributes(self, monkeypatch):
+        # a census that repeats a length must stop the derivation
+        monkeypatch.setattr(graphs, "predicted_spectrum", lambda n, anchors: (3, 3))
+        with pytest.raises(oracle.InternalInconsistency):
+            cycleset.derive_cycle_set(singer.PerfectDifferenceSet(13, (0, 1, 3, 9)))
+
+
+def _repeat(anchors, n):
+    """The smallest length the census of ``anchors`` on the n-cycle repeats."""
+    return oracle.has_repeated_length(graphs.predicted_spectrum(n, anchors))
 
 
 class TestVerifier:
+    """Each way anchors can fail shows as the census repeating a length."""
+
     def test_accepts_valid_sets(self):
-        assert cycleset.verify_distinct_cycle_set([8, 12], 13) is None
-        assert cycleset.verify_distinct_cycle_set([6], 7) is None
-        assert cycleset.verify_distinct_cycle_set([], 7) is None
+        assert _repeat([8, 12], 13) is None
+        assert _repeat([6], 7) is None
+        assert _repeat([], 7) is None
 
     def test_range_violation(self):
-        violation = cycleset.verify_distinct_cycle_set([2, 6], 7)
-        assert violation.kind is ViolationKind.RANGE
-        assert violation.witness == (2,)
-        violation = cycleset.verify_distinct_cycle_set([3, 7], 7)
-        assert violation.kind is ViolationKind.RANGE
-        assert violation.witness == (7,)
+        with pytest.raises(ValueError, match="chord anchor 2 must lie in 3..6"):
+            _repeat([2, 6], 7)
+        with pytest.raises(ValueError, match="chord anchor 7 must lie in 3..6"):
+            _repeat([3, 7], 7)
 
     def test_duplicate_counts_as_range(self):
-        violation = cycleset.verify_distinct_cycle_set([5, 5], 20)
-        assert violation.kind is ViolationKind.RANGE
+        with pytest.raises(ValueError, match="duplicate anchors"):
+            _repeat([5, 5], 20)
 
     def test_repeated_difference(self):
-        violation = cycleset.verify_distinct_cycle_set([3, 4, 5], 20)
-        assert violation.kind is ViolationKind.REPEATED_DIFFERENCE
-        a, b, c, d = violation.witness
-        assert (a, b, c, d) == (3, 4, 4, 5)
-        assert b - a == d - c
+        # 4 - 3 == 5 - 4: both gaps are 3, as is the anchor 3
+        assert _repeat([3, 4, 5], 20) == 3
 
     def test_complement_overlap(self):
-        # 9 = 20 + 2 - 13, reported at the smaller colliding anchor
-        violation = cycleset.verify_distinct_cycle_set([9, 13], 20)
-        assert violation.kind is ViolationKind.COMPLEMENT_OVERLAP
-        assert violation.witness == (13, 9)
+        # 9 = 20 + 2 - 13
+        assert _repeat([9, 13], 20) == 9
 
     def test_self_complementary_anchor(self):
-        violation = cycleset.verify_distinct_cycle_set([7], 12)
-        assert violation.kind is ViolationKind.COMPLEMENT_OVERLAP
-        assert violation.witness == (7, 7)
+        assert _repeat([7], 12) == 7
 
     def test_gap_overlap(self):
-        # gap 9 - 3 + 2 = 8 collides with the anchor 8
-        violation = cycleset.verify_distinct_cycle_set([3, 8, 9], 30)
-        assert violation.kind is ViolationKind.GAP_OVERLAP
-        a, b, c = violation.witness
-        assert c == b - a + 2
+        # gap 9 - 8 + 2 = 3 collides with the anchor 3, gap 9 - 3 + 2 with 8
+        assert _repeat([3, 8, 9], 30) == 3
 
     def test_complement_gap_overlap(self):
-        # gap 14 - 3 + 2 = 13 equals complement 20 + 2 - 9
-        violation = cycleset.verify_distinct_cycle_set([3, 9, 14], 20)
-        assert violation.kind is ViolationKind.COMPLEMENT_GAP_OVERLAP
-        assert violation.witness == (3, 14, 9)
-        a, b, c = violation.witness
-        assert b - a + 2 == 20 + 2 - c
-
-    def test_tiny_modulus_rejected(self):
-        with pytest.raises(ValueError):
-            cycleset.verify_distinct_cycle_set([3], 3)
-
-    def test_constructor_enforces_verdict(self):
-        with pytest.raises(ValueError):
-            cycleset.DistinctCycleSet(20, (3, 4, 5))
-        ok = cycleset.DistinctCycleSet(13, (12, 8))  # sorts on construction
-        assert ok.elements == (8, 12)
-
-
-def _multiset_verdict(values, n):
-    """Independent check: all predicted lengths distinct and anchors in range."""
-    if any(not 3 <= a <= n - 1 for a in values) or len(set(values)) != len(values):
-        return False
-    lengths = Counter([n])
-    lengths.update(values)
-    lengths.update(cycleset.complement_lengths(values, n))
-    lengths.update(cycleset.gap_lengths(values))
-    return all(count == 1 for count in lengths.values())
-
-
-def test_verdict_matches_multiset_oracle():
-    rng = random.Random(500)
-    seen_bad = 0
-    for _ in range(500):
-        n = rng.randrange(4, 40)
-        size = rng.randrange(0, 5)
-        values = [rng.randrange(1, n + 2) for _ in range(size)]
-        verdict = cycleset.verify_distinct_cycle_set(values, n)
-        assert (verdict is None) == _multiset_verdict(values, n)
-        if verdict is not None:
-            seen_bad += 1
-            w = verdict.witness
-            if verdict.kind is ViolationKind.RANGE:
-                assert len(w) == 1
-            elif verdict.kind is ViolationKind.REPEATED_DIFFERENCE:
-                assert w[1] - w[0] == w[3] - w[2] and w[:2] != w[2:]
-            elif verdict.kind is ViolationKind.COMPLEMENT_OVERLAP:
-                assert w[1] == n + 2 - w[0]
-            elif verdict.kind is ViolationKind.GAP_OVERLAP:
-                assert w[2] == w[1] - w[0] + 2
-            else:
-                assert w[1] - w[0] + 2 == n + 2 - w[2]
-    assert seen_bad > 100  # the sample space is mostly violations
-
-
-def test_helper_lengths():
-    assert cycleset.complement_lengths([8, 12], 13) == [7, 3]
-    assert cycleset.gap_lengths([8, 12]) == [6]
-    assert cycleset.gap_lengths([3]) == []
+        # gap 9 - 3 + 2 = 8 equals complement 20 + 2 - 14
+        assert _repeat([3, 9, 14], 20) == 8

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from cyclespec import cycleset, graphs, oracle, search
+from cyclespec import graphs, oracle, search
 from cyclespec.graphs import ChordedCycleGraph
 
 
@@ -15,6 +15,14 @@ KNOWN_G = {3: 3, 4: 4, 5: 6, 6: 7, 7: 8, 8: 10, 9: 11, 10: 12, 11: 13, 12: 14}
 # exact values beyond the golden CLI grid, with their least witnesses
 LARGE_G = {19: (23, ((1, 3), (1, 6), (1, 12), (1, 14))),
            20: (24, ((1, 3), (1, 5), (1, 10), (1, 14)))}
+
+
+def _repeat_free(anchors, n):
+    return oracle.has_repeated_length(graphs.predicted_spectrum(n, anchors)) is None
+
+
+def _relabel(graph, mapping):
+    return ChordedCycleGraph(graph.n, tuple((mapping[u], mapping[v]) for u, v in graph.chords))
 
 
 def _chord_pool(n):
@@ -44,7 +52,7 @@ class TestHelpers:
         graph = ChordedCycleGraph(9, ((1, 4), (2, 7)))
         spectrum = oracle.enumerate_cycles(graph)
         for mapping in search.dihedral_maps(9):
-            moved = search.relabel(graph, mapping)
+            moved = _relabel(graph, mapping)
             assert oracle.enumerate_cycles(moved) == spectrum
 
 
@@ -89,37 +97,36 @@ class TestCanonicity:
 
 
 class TestIncrementalLengths:
-    def test_single_chord_on_bare_cycle(self):
-        graph = ChordedCycleGraph(7)
-        assert sorted(search.chord_cycle_lengths(graph, (1, 3))) == [3, 6]
-        assert sorted(search.chord_cycle_lengths(graph, (2, 6))) == [4, 5]
+    """``_new_cycle_lengths`` as the search calls it: on a repeat-free graph,
+    with the graph's spectrum as the lengths already used."""
 
-    def test_existing_edge_rejected(self):
-        graph = ChordedCycleGraph(7, ((1, 3),))
-        with pytest.raises(ValueError):
-            search.chord_cycle_lengths(graph, (1, 3))
-        with pytest.raises(ValueError):
-            search.chord_cycle_lengths(graph, (4, 5))
+    def test_single_chord_on_bare_cycle(self):
+        adjacency = ChordedCycleGraph(7).adjacency
+        assert sorted(search._new_cycle_lengths(adjacency, 1, 3, {7})) == [3, 6]
+        assert sorted(search._new_cycle_lengths(adjacency, 2, 6, {7})) == [4, 5]
+        assert search._new_cycle_lengths(adjacency, 2, 6, {7, 4}) is None
 
     def test_matches_full_reenumeration(self):
         rng = random.Random(1234)
-        checked = 0
-        while checked < 100:
-            n = rng.randrange(5, 11)
+        outcomes = {True: 0, False: 0}
+        while min(outcomes.values()) < 100:
+            n = rng.randrange(5, 14)
             pool = _chord_pool(n)
-            size = rng.randrange(0, min(3, len(pool)) + 1)
-            chords = tuple(sorted(rng.sample(pool, size)))
+            chords = tuple(sorted(rng.sample(pool, rng.randrange(0, min(3, len(pool)) + 1))))
             graph = ChordedCycleGraph(n, chords)
-            free = [e for e in pool if e not in chords]
-            if not free:
-                continue
-            extra = rng.choice(free)
             before = list(oracle.enumerate_cycles(graph))
+            free = [e for e in pool if e not in chords]
+            if oracle.has_repeated_length(before) is not None or not free:
+                continue
+            u, v = rng.choice(free)
             after = list(oracle.enumerate_cycles(
-                ChordedCycleGraph(n, tuple(sorted(chords + (extra,))))))
-            fresh = search.chord_cycle_lengths(graph, extra)
-            assert sorted(before + fresh) == after, (n, chords, extra)
-            checked += 1
+                ChordedCycleGraph(n, tuple(sorted(chords + ((u, v),))))))
+            fresh = search._new_cycle_lengths(graph.adjacency, u, v, set(before))
+            repeats = oracle.has_repeated_length(after) is not None
+            assert (fresh is None) == repeats, (n, chords, (u, v))
+            if fresh is not None:
+                assert sorted(before + fresh) == after, (n, chords, (u, v))
+            outcomes[repeats] += 1
 
 
 def _naive_g(n):
@@ -236,14 +243,14 @@ class TestSingleVertexChords:
         for n in range(4, 30):
             size, witness = search.max_single_vertex_chords(n)
             assert len(witness) == size
-            assert cycleset.verify_distinct_cycle_set(witness, n) is None
+            assert _repeat_free(witness, n)
 
     def test_derived_anchor_sets_are_witnesses_not_maxima(self):
         # the difference-set pipeline proves a lower bound; the search can
         # beat it at fixed n (at n = 13 three anchors fit, the pipeline uses two)
-        assert cycleset.verify_distinct_cycle_set([6], 7) is None
+        assert _repeat_free([6], 7)
         assert search.max_single_vertex_chords(7)[0] == 1
-        assert cycleset.verify_distinct_cycle_set([8, 12], 13) is None
+        assert _repeat_free([8, 12], 13)
         assert search.max_single_vertex_chords(13)[0] == 3
 
     def test_maximum_is_truly_maximal(self):
@@ -253,8 +260,7 @@ class TestSingleVertexChords:
             best = 0
             anchors = range(3, n)
             for k in range(len(list(anchors)), -1, -1):
-                if any(cycleset.verify_distinct_cycle_set(c, n) is None
-                       for c in itertools.combinations(anchors, k)):
+                if any(_repeat_free(c, n) for c in itertools.combinations(anchors, k)):
                     best = k
                     break
             assert size == best, n
