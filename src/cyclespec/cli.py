@@ -48,13 +48,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="serialize the chorded cycle graph for q")
     p.add_argument("q", type=int)
-    common(p, ["edgelist", "dot", "graph6"], "edgelist")
+    common(p, graphs.FORMATS, "edgelist")
 
     p = sub.add_parser("verify", help="enumerate cycles of a serialized graph "
                                       "and report spectrum and bounds as JSON")
     p.add_argument("file")
-    p.add_argument("--format", choices=["edgelist", "dot", "graph6"],
-                   default="edgelist")
+    p.add_argument("--format", choices=graphs.FORMATS, default="edgelist")
     p.add_argument("--budget", type=int, metavar="CYCLES")
     p.add_argument("--output", metavar="FILE")
 
@@ -140,7 +139,7 @@ def _construction(q: int):
 
 def _cmd_singer(args: argparse.Namespace) -> tuple[int, dict]:
     diffset = singer.singer_difference_set(args.q)
-    ok = singer.verify_perfect_difference_set(diffset) is None
+    ok = singer.verify_perfect_difference_set(diffset)
     return (EXIT_OK if ok else EXIT_VERIFICATION), {
         "q": args.q,
         "n": diffset.n,
@@ -165,12 +164,12 @@ def _cmd_derive(args: argparse.Namespace) -> tuple[int, dict]:
 
 def _cmd_build(args: argparse.Namespace) -> tuple[int, str]:
     _, _, graph = _construction(args.q)
-    return EXIT_OK, graphs.export_graph(graph, graphs.GraphFormat(args.format))
+    return EXIT_OK, graphs.export_graph(graph, args.format)
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
     text = pathlib.Path(args.file).read_text()
-    graph = graphs.import_graph(text, graphs.GraphFormat(args.format))
+    graph = graphs.import_graph(text, args.format)
     budget = _effective_budget(args, oracle.DEFAULT_CYCLE_BUDGET)
     report = oracle.verification_report(graph, budget=budget)
     return (EXIT_VERIFICATION if report["repeated"] else EXIT_OK), report

@@ -35,7 +35,7 @@ def derive_cycle_set_trace(diffset: singer.PerfectDifferenceSet) -> CycleSetDeri
     Refuses with ValueError anything that is not a perfect difference set
     of at least 3 elements, and re-checks the anchors against the census.
     """
-    if diffset.k < 3 or singer.verify_perfect_difference_set(diffset) is not None:
+    if diffset.k < 3 or not singer.verify_perfect_difference_set(diffset):
         raise ValueError("need a perfect difference set of at least 3 elements")
     n = diffset.n
     anchor, shift = next((a, b) for a in diffset.elements for b in diffset.elements

@@ -7,14 +7,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cached_property
-
-
-class GraphFormat(Enum):
-    EDGE_LIST = "edgelist"
-    DOT = "dot"
-    GRAPH6 = "graph6"
 
 
 @dataclass(frozen=True)
@@ -101,18 +94,19 @@ def predicted_spectrum(n: int, values) -> tuple[int, ...]:
 # Between its two fields the template holds the separator (blank: any
 # whitespace) and after them the terminator of an edge line.
 _TEXT_FORMATS = {
-    GraphFormat.EDGE_LIST: ("", "{} {}", "", "two vertex labels"),
-    GraphFormat.DOT: ("graph {", "  {} -- {};", "}", "'u -- v;'"),
+    "edgelist": ("", "{} {}", "", "two vertex labels"),
+    "dot": ("graph {", "  {} -- {};", "}", "'u -- v;'"),
 }
+FORMATS = (*_TEXT_FORMATS, "graph6")  # the names export_graph and import_graph take
 
 
-def export_graph(graph: ChordedCycleGraph, fmt: GraphFormat) -> str:
+def export_graph(graph: ChordedCycleGraph, fmt: str) -> str:
     """Serialize; output is byte-identical for equal graphs.
 
     Edge list: one "u v" line per edge, cycle edges first in cycle order
     (so the last is "n 1"), then chords sorted ascending.
     """
-    if fmt is GraphFormat.GRAPH6:
+    if fmt == "graph6":
         return _to_graph6(graph) + "\n"
     if fmt not in _TEXT_FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
@@ -121,14 +115,14 @@ def export_graph(graph: ChordedCycleGraph, fmt: GraphFormat) -> str:
     return "".join(line + "\n" for line in [opening, *lines, closing] if line)
 
 
-def import_graph(text: str, fmt: GraphFormat) -> ChordedCycleGraph:
+def import_graph(text: str, fmt: str) -> ChordedCycleGraph:
     """Inverse of export_graph on its image.
 
     Vertex count is the largest label seen (edge list, DOT) or the header
     (graph6); consecutive labels and {n, 1} are the cycle, everything
     else must be a valid chord.  Malformed text raises ValueError.
     """
-    if fmt is GraphFormat.GRAPH6:
+    if fmt == "graph6":
         stripped = text.strip()
         if not stripped or any(ch.isspace() for ch in stripped):
             raise ValueError("expected a single graph6 line")
@@ -139,7 +133,7 @@ def import_graph(text: str, fmt: GraphFormat) -> ChordedCycleGraph:
     return _assemble(max(max(edge) for edge in edges), edges)
 
 
-def _parse_edges(text: str, fmt: GraphFormat) -> list[tuple[int, int]]:
+def _parse_edges(text: str, fmt: str) -> list[tuple[int, int]]:
     if fmt not in _TEXT_FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
     opening, template, closing, expected = _TEXT_FORMATS[fmt]

@@ -74,36 +74,18 @@ def has_repeated_length(lengths: Iterable[int]) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class SidonViolation:
-    """Two element pairs with equal sums: a + b == c + d."""
+def is_sidon(values) -> bool:
+    """True when all sums of two distinct elements are distinct.
 
-    a: int
-    b: int
-    c: int
-    d: int
-
-
-def is_sidon(values) -> SidonViolation | None:
-    """None when all two-element sums are distinct, else the first collision.
-
-    Pairs draw two distinct elements; a sum reusing one element twice is not
-    counted.  Scanning pairs in lexicographic order makes the reported
-    witness deterministic.
+    A sum reusing one element twice is not counted.
     """
     ordered = sorted(values)
     if len(set(ordered)) != len(ordered):
         raise ValueError("elements must be distinct")
     if ordered and ordered[0] < 1:
         raise ValueError("elements must be positive")
-    first_pair: dict[int, tuple[int, int]] = {}
-    for a, b in itertools.combinations(ordered, 2):
-        total = a + b
-        if total in first_pair:
-            c, d = first_pair[total]
-            return SidonViolation(c, d, a, b)
-        first_pair[total] = (a, b)
-    return None
+    sums = [a + b for a, b in itertools.combinations(ordered, 2)]
+    return len(set(sums)) == len(sums)
 
 
 def crossing_pairs(graph: ChordedCycleGraph) -> int:

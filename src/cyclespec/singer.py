@@ -9,6 +9,7 @@ backtracking search over Z_n doubles as an independent existence oracle.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from . import finite_field as ff
@@ -35,15 +36,6 @@ class PerfectDifferenceSet:
         return len(self.elements)
 
 
-@dataclass(frozen=True)
-class DifferenceSetViolation:
-    """A residue covered the wrong number of times, with the pairs hitting it."""
-
-    residue: int
-    count: int
-    pairs: tuple[tuple[int, int], ...]
-
-
 def prime_power(q: int) -> tuple[int, int] | None:
     """Decompose q as p^m for a single prime p; None when impossible."""
     if q < 2:
@@ -60,7 +52,8 @@ def singer_difference_set(q: int) -> PerfectDifferenceSet:
     Builds the tower GF(p) -> GF(q) -> GF(q^3) from canonical irreducible
     moduli, takes the canonical primitive element, and collects the
     exponents (mod n) of the powers with vanishing top coordinate.  Fully
-    deterministic, so equal q always yields equal output.
+    deterministic, so equal q always yields equal output.  Not re-checked
+    here: ``verify_perfect_difference_set`` is for the caller to run.
     """
     decomposition = prime_power(q)
     if decomposition is None:
@@ -77,30 +70,14 @@ def singer_difference_set(q: int) -> PerfectDifferenceSet:
         if power[2] == 0:
             residues.add(exponent % n)
         power = ff.multiply(top, power, gamma)
-    assert len(residues) == q + 1, "a projective line should give q + 1 residues"
-    result = PerfectDifferenceSet(n, tuple(sorted(residues)))
-    assert verify_perfect_difference_set(result) is None
-    return result
+    return PerfectDifferenceSet(n, tuple(sorted(residues)))
 
 
-def verify_perfect_difference_set(candidate: PerfectDifferenceSet,
-                                  ) -> DifferenceSetViolation | None:
-    """None when every nonzero residue is an ordered difference exactly once.
-
-    Otherwise reports the smallest residue covered 0 or >= 2 times together
-    with all pairs (a, b), a - b = residue mod n, that land on it.
-    """
+def verify_perfect_difference_set(candidate: PerfectDifferenceSet) -> bool:
+    """True when every nonzero residue is an ordered difference exactly once."""
     n = candidate.n
-    coverage: dict[int, list[tuple[int, int]]] = {r: [] for r in range(1, n)}
-    for a in candidate.elements:
-        for b in candidate.elements:
-            if a != b:
-                coverage[(a - b) % n].append((a, b))
-    for residue in range(1, n):
-        pairs = coverage[residue]
-        if len(pairs) != 1:
-            return DifferenceSetViolation(residue, len(pairs), tuple(sorted(pairs)))
-    return None
+    differences = ((a - b) % n for a, b in itertools.permutations(candidate.elements, 2))
+    return sorted(differences) == list(range(1, n))
 
 
 def brute_force_difference_set(n: int, k: int) -> PerfectDifferenceSet | None:

@@ -68,13 +68,19 @@ class TestBuild:
         assert code == 0
         assert out == "1 2\n2 3\n3 4\n4 5\n5 6\n6 7\n7 1\n1 6\n"
 
-    @pytest.mark.parametrize("fmt", ["edgelist", "dot", "graph6"])
+    @pytest.mark.parametrize("fmt", graphs.FORMATS)
     def test_round_trips(self, capsys, fmt):
         code, out, _ = run_cli(capsys, "build", "3", "--format", fmt)
         assert code == 0
-        graph = graphs.import_graph(out, graphs.GraphFormat(fmt))
+        graph = graphs.import_graph(out, fmt)
         assert graph.n == 13
         assert graph.chords == ((1, 8), (1, 12))
+
+    @pytest.mark.parametrize("command", ["build", "verify"])
+    def test_help_lists_graph_formats_in_order(self, capsys, command):
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        assert "--format {edgelist,dot,graph6}" in capsys.readouterr().out
 
 
 class TestVerify:
@@ -91,7 +97,7 @@ class TestVerify:
     def test_repeated_length_fails(self, capsys, tmp_path):
         target = tmp_path / "bad.txt"
         graph = graphs.ChordedCycleGraph(4, ((1, 3),))
-        target.write_text(graphs.export_graph(graph, graphs.GraphFormat.EDGE_LIST))
+        target.write_text(graphs.export_graph(graph, "edgelist"))
         code, out, _ = run_cli(capsys, "verify", str(target))
         assert code == 1
         assert json.loads(out)["repeated"] is True

@@ -6,8 +6,8 @@ import tracemalloc
 
 import pytest
 
+import cyclespec
 from cyclespec import cycleset, graphs, singer
-from cyclespec.graphs import GraphFormat
 
 
 def _raises(message):
@@ -88,29 +88,29 @@ class TestPredictedSpectrum:
 class TestExport:
     def test_edge_list_triangle(self):
         graph = graphs.ChordedCycleGraph(3)
-        assert graphs.export_graph(graph, GraphFormat.EDGE_LIST) == "1 2\n2 3\n3 1\n"
+        assert graphs.export_graph(graph, "edgelist") == "1 2\n2 3\n3 1\n"
 
     def test_edge_list_with_chord(self):
         graph = graphs.build_graph(5, [3])
-        assert graphs.export_graph(graph, GraphFormat.EDGE_LIST) == \
+        assert graphs.export_graph(graph, "edgelist") == \
             "1 2\n2 3\n3 4\n4 5\n5 1\n1 3\n"
 
     def test_dot_shape(self):
-        text = graphs.export_graph(graphs.build_graph(4, [3]), GraphFormat.DOT)
+        text = graphs.export_graph(graphs.build_graph(4, [3]), "dot")
         assert text == "graph {\n  1 -- 2;\n  2 -- 3;\n  3 -- 4;\n  4 -- 1;\n  1 -- 3;\n}\n"
 
     def test_graph6_triangle(self):
         # standard encoding of the complete graph on three vertices
-        assert graphs.export_graph(graphs.ChordedCycleGraph(3), GraphFormat.GRAPH6) == "Bw\n"
+        assert graphs.export_graph(graphs.ChordedCycleGraph(3), "graph6") == "Bw\n"
 
     def test_graph6_long_header(self):
         # n = 62 is the last short header; 63, 73 (q = 8) and 553 (q = 23) need "~"
         for graph in [graphs.ChordedCycleGraph(62), graphs.build_graph(62, [5, 40]),
                       graphs.ChordedCycleGraph(63), _singer_graph(8), _singer_graph(23)]:
-            text = graphs.export_graph(graph, GraphFormat.GRAPH6)
+            text = graphs.export_graph(graph, "graph6")
             assert text.startswith("~") == (graph.n > 62)
-            assert graphs.import_graph(text, GraphFormat.GRAPH6) == graph
-        assert graphs.export_graph(graphs.ChordedCycleGraph(63), GraphFormat.GRAPH6)[:4] == "~??~"
+            assert graphs.import_graph(text, "graph6") == graph
+        assert graphs.export_graph(graphs.ChordedCycleGraph(63), "graph6")[:4] == "~??~"
 
     def test_graph6_matches_networkx(self):
         nx = pytest.importorskip("networkx")
@@ -120,7 +120,7 @@ class TestExport:
             reference.add_nodes_from(range(1, graph.n + 1))
             reference.add_edges_from(graph.cycle_edges() + list(graph.chords))
             expected = nx.to_graph6_bytes(reference, header=False).decode()
-            assert graphs.export_graph(graph, GraphFormat.GRAPH6) == expected
+            assert graphs.export_graph(graph, "graph6") == expected
 
 
 class TestImport:
@@ -131,32 +131,41 @@ class TestImport:
             size = rng.randrange(0, min(4, max(1, n - 3)))
             anchors = rng.sample(range(3, n), min(size, n - 3))
             graph = graphs.build_graph(n, anchors)
-            for fmt in GraphFormat:
+            for fmt in graphs.FORMATS:
                 text = graphs.export_graph(graph, fmt)
                 back = graphs.import_graph(text, fmt)
                 assert back == graph, (n, anchors, fmt)
 
+    def test_library_takes_format_names(self):
+        # the names the CLI's --format takes, straight from the package
+        text = "graph {\n  1 -- 2;\n  2 -- 3;\n  3 -- 4;\n  4 -- 1;\n  1 -- 3;\n}\n"
+        assert cyclespec.import_graph(text, "dot") == graphs.build_graph(4, [3])
+        with _raises("unknown format 'xml'"):
+            cyclespec.import_graph(text, "xml")
+        with _raises("unknown format 'xml'"):
+            graphs.export_graph(graphs.ChordedCycleGraph(3), "xml")
+
     def test_line_order_irrelevant(self):
         graph = graphs.build_graph(11, [4, 7])
-        lines = graphs.export_graph(graph, GraphFormat.EDGE_LIST).splitlines()
+        lines = graphs.export_graph(graph, "edgelist").splitlines()
         random.Random(5).shuffle(lines)
-        assert graphs.import_graph("\n".join(lines) + "\n", GraphFormat.EDGE_LIST) == graph
+        assert graphs.import_graph("\n".join(lines) + "\n", "edgelist") == graph
 
     def test_non_anchor_chords_survive(self):
         graph = graphs.ChordedCycleGraph(9, ((2, 6), (4, 8)))
-        text = graphs.export_graph(graph, GraphFormat.EDGE_LIST)
-        assert graphs.import_graph(text, GraphFormat.EDGE_LIST) == graph
+        text = graphs.export_graph(graph, "edgelist")
+        assert graphs.import_graph(text, "edgelist") == graph
 
     def test_missing_cycle_edge(self):
         with _raises("missing cycle edge (1, 3)"):
-            graphs.import_graph("1 2\n2 3\n", GraphFormat.EDGE_LIST)
+            graphs.import_graph("1 2\n2 3\n", "edgelist")
 
     def test_huge_label_stops_at_first_missing_cycle_edge(self):
         # the cycle edges of n = 10**6 are never built: the scan stops at (1, n)
         tracemalloc.start()
         try:
             with _raises("missing cycle edge (1, 1000000)"):
-                graphs.import_graph("1 2\n2 1000000\n", GraphFormat.EDGE_LIST)
+                graphs.import_graph("1 2\n2 1000000\n", "edgelist")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -170,55 +179,55 @@ class TestImport:
                 ("0 2\n", "line 1: vertex labels start at 1"),
                 ("", "no edges found")]:
             with _raises(message):
-                graphs.import_graph(text, GraphFormat.EDGE_LIST)
+                graphs.import_graph(text, "edgelist")
 
     def test_non_ascii_digits_refused(self):
         # str.isdigit accepts these, int() rejects '²' and reads '٣' as 3
         for text, fmt, message in [
-                ("1 \u00b2\n", GraphFormat.EDGE_LIST,
+                ("1 \u00b2\n", "edgelist",
                  "line 1: expected two vertex labels, got '1 \u00b2'"),
-                ("1 2\n2 \u0663\n1 3\n", GraphFormat.EDGE_LIST,
+                ("1 2\n2 \u0663\n1 3\n", "edgelist",
                  "line 2: expected two vertex labels, got '2 \u0663'"),
-                ("graph {\n  1 -- \u0663;\n}\n", GraphFormat.DOT,
+                ("graph {\n  1 -- \u0663;\n}\n", "dot",
                  "line 2: expected 'u -- v;', got '  1 -- \u0663;'")]:
             with _raises(message):
                 graphs.import_graph(text, fmt)
 
     def test_repeated_edge(self):
         with _raises("repeated edge (1, 2)"):
-            graphs.import_graph("1 2\n2 3\n3 1\n2 1\n", GraphFormat.EDGE_LIST)
+            graphs.import_graph("1 2\n2 3\n3 1\n2 1\n", "edgelist")
 
     def test_self_loop_rejected(self):
         with _raises("bad chord (2, 2) on 3 vertices"):
-            graphs.import_graph("1 2\n2 3\n3 1\n2 2\n", GraphFormat.EDGE_LIST)
+            graphs.import_graph("1 2\n2 3\n3 1\n2 2\n", "edgelist")
 
     def test_dot_malformed(self):
         with _raises("line 2: expected 'u -- v;', got '  1 -- 2'"):
-            graphs.import_graph("graph {\n  1 -- 2\n}\n", GraphFormat.DOT)  # no semicolon
+            graphs.import_graph("graph {\n  1 -- 2\n}\n", "dot")  # no semicolon
         with _raises("line 2: expected 'u -- v;', got '  1 -> 2;'"):
-            graphs.import_graph("graph {\n  1 -> 2;\n}\n", GraphFormat.DOT)
+            graphs.import_graph("graph {\n  1 -> 2;\n}\n", "dot")
 
     def test_graph6_malformed(self):
         with _raises("expected a single graph6 line"):
-            graphs.import_graph("Bw\nBw\n", GraphFormat.GRAPH6)   # two lines
+            graphs.import_graph("Bw\nBw\n", "graph6")   # two lines
         with _raises("graph6 bit vector has the wrong length"):
-            graphs.import_graph("B", GraphFormat.GRAPH6)          # truncated bits
+            graphs.import_graph("B", "graph6")          # truncated bits
         with _raises("graph6 padding bits must be zero"):
-            graphs.import_graph("B" + chr(63 + 1), GraphFormat.GRAPH6)  # bad padding
+            graphs.import_graph("B" + chr(63 + 1), "graph6")  # bad padding
 
     def test_graph6_header_limits(self):
         with _raises("truncated graph6 header"):
-            graphs.import_graph("~?@", GraphFormat.GRAPH6)
+            graphs.import_graph("~?@", "graph6")
         with _raises("graph6 input beyond 258047 vertices is unsupported"):
-            graphs.import_graph("~~??????", GraphFormat.GRAPH6)
+            graphs.import_graph("~~??????", "graph6")
         with pytest.raises(ValueError, match="at most 258047"):
-            graphs.export_graph(graphs.ChordedCycleGraph(258048), GraphFormat.GRAPH6)
+            graphs.export_graph(graphs.ChordedCycleGraph(258048), "graph6")
 
     def test_graph6_without_hamilton_cycle(self):
         # triangle with one edge cleared: bits 110 -> value 48
         line = "B" + chr(48 + 63)
         with _raises("missing cycle edge (2, 3)"):
-            graphs.import_graph(line, GraphFormat.GRAPH6)
+            graphs.import_graph(line, "graph6")
 
 
 def test_round_trips_arbitrary_chords():
@@ -235,7 +244,7 @@ def test_round_trips_arbitrary_chords():
         return graphs.ChordedCycleGraph(n, tuple(chords))
 
     @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @hypothesis.given(chorded_cycles(), st.sampled_from(GraphFormat))
+    @hypothesis.given(chorded_cycles(), st.sampled_from(graphs.FORMATS))
     def round_trip(graph, fmt):
         assert graphs.import_graph(graphs.export_graph(graph, fmt), fmt) == graph
 

@@ -96,14 +96,13 @@ class TestHasRepeatedLength:
 
 class TestSidon:
     def test_accepts_small_sets(self):
-        assert oracle.is_sidon([6]) is None
-        assert oracle.is_sidon([1, 2, 3]) is None
-        assert oracle.is_sidon([]) is None
+        assert oracle.is_sidon([6]) is True
+        assert oracle.is_sidon([1, 2, 3]) is True
+        assert oracle.is_sidon([]) is True
 
-    def test_first_collision_reported(self):
-        violation = oracle.is_sidon([1, 2, 3, 4])
-        assert violation == oracle.SidonViolation(1, 4, 2, 3)
-        assert violation.a + violation.b == violation.c + violation.d
+    def test_rejects_collision(self):
+        # 1 + 4 == 2 + 3
+        assert not oracle.is_sidon([1, 2, 3, 4])
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -119,7 +118,7 @@ class TestSidon:
             sums = Counter(a + b for i, a in enumerate(values)
                            for b in values[i + 1:])
             distinct = all(c == 1 for c in sums.values())
-            assert (oracle.is_sidon(values) is None) == distinct, values
+            assert oracle.is_sidon(values) == distinct, values
 
 
 class TestCrossingPairs:

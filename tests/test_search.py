@@ -25,6 +25,11 @@ def _relabel(graph, mapping):
     return ChordedCycleGraph(graph.n, tuple((mapping[u], mapping[v]) for u, v in graph.chords))
 
 
+def _star(n):
+    """The chords {1, a} on the single-vertex optimum's anchors."""
+    return tuple((1, a) for a in search.max_single_vertex_chords(n)[1])
+
+
 def _chord_pool(n):
     return [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
             if v - u != 1 and (u, v) != (1, n)]
@@ -170,6 +175,7 @@ class TestExactSearch:
         result = search.exact_g(n)
         assert result.exhaustive
         assert (result.g_value, result.witness.chords) == (g_value, chords)
+        assert result.witness.chords == _star(n)
         assert g_value < n + math.sqrt(2 * n) + 1
         nx = pytest.importorskip("networkx")
         graph = nx.Graph(list(result.witness.cycle_edges()) + list(chords))
@@ -271,7 +277,13 @@ class TestSingleVertexChords:
         for n in range(4, 45):
             size, witness = search.max_single_vertex_chords(n)
             assert size <= math.isqrt(n) + 2
-            assert oracle.is_sidon(witness) is None or size < 2
+            assert oracle.is_sidon(witness) or size < 2
+
+    @pytest.mark.parametrize("n", range(4, 19))
+    def test_star_is_the_least_maximum_witness(self, n):
+        # observed, not proved: the exhaustive search's least witness is the
+        # single-vertex optimum for n = 4..20 (19 and 20 in test_large_values)
+        assert search.exact_g(n).witness.chords == _star(n)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
