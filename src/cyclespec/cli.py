@@ -213,8 +213,7 @@ def _cmd_table(args: argparse.Namespace) -> tuple[int, dict]:
         ok = (predicted == enumerated
               and oracle.has_repeated_length(enumerated) is None
               and diffset.n in enumerated)
-        exact = oracle.singer_lower_bound_exact(diffset.n)
-        assert exact is not None and exact.denominator == 1
+        exact = oracle.singer_lower_bound_exact(diffset.n)  # q^2 + 2q, an integer
         rows.append({
             "q": q,
             "n": diffset.n,

@@ -35,32 +35,58 @@ def enumerate_cycles(graph: ChordedCycleGraph,
                      budget: int = DEFAULT_CYCLE_BUDGET) -> tuple[int, ...]:
     """Exact multiset of simple-cycle lengths, sorted, found by backtracking.
 
-    Each cycle is emitted exactly once, canonicalized by its least vertex
-    and by the traversal direction whose second vertex is smaller.  Works
-    from the adjacency structure alone.
+    The search runs on the graph contracted to its branch vertices, the
+    chord endpoints: each cycle arc between two consecutive branch vertices
+    becomes one edge weighted by its number of original edges, and each
+    chord one edge of weight 1.  Edges are numbered, so parallel ones stay
+    distinct.  Each cycle is emitted exactly once, from its least branch
+    vertex and in the direction whose first edge number is smaller than
+    its closing one; a 2-edge cycle of two parallel edges counts too.  A
+    graph without chords is its one Hamilton cycle.  Independent of the
+    closed-form census and of the search.
     """
     if budget < 1:
         raise ValueError("budget must be positive")
-    adjacency = graph.adjacency
+    if not graph.chords:
+        return (graph.n,)
+    branch = sorted({v for chord in graph.chords for v in chord})
+    index = {v: i for i, v in enumerate(branch)}
+    # contracted edges (u, v, weight), numbered by position: the cycle arcs
+    # between consecutive branch vertices, then the chords
+    edges = [(index[u], index[v], (v - u) % graph.n)
+             for u, v in zip(branch, branch[1:] + branch[:1])]
+    edges += [(index[u], index[v], 1) for u, v in graph.chords]
+    adjacency: list[list[tuple[int, int, int]]] = [[] for _ in branch]
+    for edge, (u, v, weight) in enumerate(edges):
+        adjacency[u].append((v, weight, edge))
+        adjacency[v].append((u, weight, edge))
     lengths: list[int] = []
-    for start in range(1, graph.n + 1):
-        path = [start]
-        on_path = {start}
+    for start in range(len(branch)):
+        on_path = [False] * len(branch)
+        on_path[start] = True
+        path = [start]        # branch vertices
+        totals = [0]          # original edges up to each of them
+        first = -1            # number of the edge leaving start
         pending = [iter(adjacency[start])]
         while pending:
             step = next(pending[-1], None)
             if step is None:
                 pending.pop()
-                on_path.discard(path.pop())
+                on_path[path.pop()] = False
+                totals.pop()
                 continue
-            if step == start and len(path) >= 3 and path[1] < path[-1]:
+            other, weight, edge = step
+            if other == start and first < edge:
                 if len(lengths) >= budget:
                     raise BudgetExceeded(budget, len(lengths))
-                lengths.append(len(path))
-            elif step > start and step not in on_path:
-                path.append(step)
-                on_path.add(step)
-                pending.append(iter(adjacency[step]))
+                lengths.append(totals[-1] + weight)
+            elif other > start and not on_path[other]:
+                if len(path) == 1:
+                    first = edge
+                path.append(other)
+                on_path[other] = True
+                totals.append(totals[-1] + weight)
+                pending.append(iter(adjacency[other]))
     return tuple(sorted(lengths))
 
 

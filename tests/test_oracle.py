@@ -14,6 +14,7 @@ from cyclespec.graphs import ChordedCycleGraph
 class TestEnumerate:
     def test_bare_cycle(self):
         assert oracle.enumerate_cycles(ChordedCycleGraph(5)) == (5,)
+        assert oracle.enumerate_cycles(ChordedCycleGraph(5), budget=1) == (5,)
 
     def test_seven_vertex_example(self):
         spectrum = oracle.enumerate_cycles(graphs.build_graph(7, [6]))
@@ -36,6 +37,57 @@ class TestEnumerate:
     def test_exact_budget_passes(self):
         graph = ChordedCycleGraph(4, ((1, 3),))
         assert len(oracle.enumerate_cycles(graph, budget=3)) == 3
+
+    @pytest.mark.parametrize("graph", [
+        graphs.build_graph(13, [8, 12]),
+        ChordedCycleGraph(30, ((1, 12), (3, 24), (5, 20), (9, 27), (15, 29))),
+    ])
+    def test_budget_counts_cycles_found(self, graph):
+        spectrum = oracle.enumerate_cycles(graph)
+        total = len(spectrum)
+        for budget in range(1, total + 2):
+            if budget < total:
+                with pytest.raises(oracle.BudgetExceeded) as info:
+                    oracle.enumerate_cycles(graph, budget)
+                assert str(info.value) == f"cycle budget {budget} exceeded; {budget} cycles found"
+                assert (info.value.budget, info.value.partial) == (budget, budget)
+            else:
+                assert oracle.enumerate_cycles(graph, budget) == spectrum
+
+    @pytest.mark.parametrize("q", [16, 32])
+    def test_large_singer_graphs_match_census(self, q):
+        from cyclespec import cycleset
+        diffset = singer.singer_difference_set(q)
+        anchors = cycleset.derive_cycle_set(diffset)
+        graph = graphs.build_graph(diffset.n, anchors)
+        assert oracle.enumerate_cycles(graph) == graphs.predicted_spectrum(diffset.n, anchors)
+
+
+def _vertex_cycles(graph):
+    """Backtracking on the uncontracted graph, one vertex at a time.
+
+    Each cycle is kept once: from its least vertex, in the direction whose
+    second vertex is smaller than its last.
+    """
+    adjacency = graph.adjacency
+    lengths = []
+    for start in range(1, graph.n + 1):
+        path = [start]
+        on_path = {start}
+        pending = [iter(adjacency[start])]
+        while pending:
+            step = next(pending[-1], None)
+            if step is None:
+                pending.pop()
+                on_path.discard(path.pop())
+                continue
+            if step == start and len(path) >= 3 and path[1] < path[-1]:
+                lengths.append(len(path))
+            elif step > start and step not in on_path:
+                path.append(step)
+                on_path.add(step)
+                pending.append(iter(adjacency[step]))
+    return tuple(sorted(lengths))
 
 
 def _subset_cycle_lengths(graph):
@@ -78,6 +130,31 @@ def test_enumeration_matches_edge_subset_oracle():
     for graph in cases:
         got = oracle.enumerate_cycles(graph)
         assert got == _subset_cycle_lengths(graph), graph
+
+
+def test_contraction_matches_vertex_and_networkx_oracles():
+    """Chords drawn with repeats of endpoints allowed, so hubs and parallel
+    contracted edges both occur."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    nx = pytest.importorskip("networkx")
+
+    @st.composite
+    def chorded_cycles(draw):
+        n = draw(st.integers(3, 40))
+        pool = [(u, v) for u in range(1, n - 1) for v in range(u + 2, n + 1)
+                if (u, v) != (1, n)]
+        chords = draw(st.lists(st.sampled_from(pool), max_size=6, unique=True)) if pool else []
+        return ChordedCycleGraph(n, tuple(chords))
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(chorded_cycles())
+    def agree(graph):
+        reference = nx.Graph(graph.cycle_edges() + list(graph.chords))
+        expected = tuple(sorted(len(cycle) for cycle in nx.simple_cycles(reference)))
+        assert oracle.enumerate_cycles(graph) == _vertex_cycles(graph) == expected
+
+    agree()
 
 
 class TestHasRepeatedLength:
