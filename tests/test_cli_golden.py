@@ -64,6 +64,11 @@ def _command_lines() -> list[str]:
     lines += ["verify repeated.edgelist",
               "singer 6", "table 1", "spectrum 2 --budget 2"]
     lines += [f"verify {name} --format {name.rsplit('.', 1)[1]}" for name in REFUSED]
+    # which refusal wins when q, n and the budget are all bad
+    lines += ["derive 6", "build 1", "spectrum 0", "singer -5",
+              "spectrum 6 --budget 0", "spectrum 3 --budget 0", "spectrum 3 --budget -1",
+              "exact-g 100 --budget 0", "exact-g 2 --budget 5",
+              "verify build-3.edgelist --format edgelist --budget 0"]
     return lines
 
 
