@@ -8,7 +8,7 @@ Data goes to stdout (or --output), diagnostics to stderr.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import itertools
+import functools
 import json
 import os
 import pathlib
@@ -25,6 +25,7 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cyclespec",
@@ -76,25 +77,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _effective_budget(args: argparse.Namespace, fallback: int) -> int:
+    """--budget, else $CYCLESPEC_BUDGET, else the fallback; the layer that
+    spends the budget refuses one below 1."""
     if args.budget is not None:
-        value = args.budget
-    else:
-        raw = os.environ.get(BUDGET_ENV)
-        if raw is None:
-            return fallback
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(f"{BUDGET_ENV} must be an integer, got {raw!r}")
-    if value < 1:
-        raise ValueError("budget must be positive")
-    return value
-
-
-def _nearest_prime_powers(q: int) -> str:
-    below = next(filter(singer.prime_power, range(q - 1, 1, -1)), None)
-    above = next(filter(singer.prime_power, itertools.count(max(q + 1, 2))))
-    return f"{above}" if below is None else f"{below} and {above}"
+        return args.budget
+    raw = os.environ.get(BUDGET_ENV)
+    if raw is None:
+        return fallback
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{BUDGET_ENV} must be an integer, got {raw!r}")
 
 
 def _cell(key: str, value) -> str:
@@ -237,16 +230,10 @@ _COMMANDS = {
     "table": _cmd_table,
 }
 
-_NEEDS_PRIME_POWER = {"singer", "derive", "build", "spectrum"}
-
 
 def main(argv: list[str] | None = None) -> int:
     """Run one invocation; returns the exit code."""
     args = build_parser().parse_args(argv)
-    if args.command in _NEEDS_PRIME_POWER and singer.prime_power(args.q) is None:
-        print(f"error: {args.q} is not a prime power "
-              f"(nearest: {_nearest_prime_powers(args.q)})", file=sys.stderr)
-        return EXIT_USAGE
     try:
         code, record = _COMMANDS[args.command](args)
         text = _render(args.command, args.format, record)

@@ -7,7 +7,6 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -46,14 +45,6 @@ class ChordedCycleGraph:
         edges = [(i, i + 1) for i in range(1, self.n)]
         edges.append((self.n, 1))
         return edges
-
-    @cached_property
-    def adjacency(self) -> dict[int, tuple[int, ...]]:
-        neighbors: dict[int, set[int]] = {v: set() for v in range(1, self.n + 1)}
-        for u, v in self.cycle_edges() + list(self.chords):
-            neighbors[u].add(v)
-            neighbors[v].add(u)
-        return {v: tuple(sorted(ns)) for v, ns in neighbors.items()}
 
 
 def _checked_anchors(n: int, values) -> list[int]:

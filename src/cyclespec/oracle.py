@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterable
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .graphs import ChordedCycleGraph
@@ -127,40 +126,30 @@ def crossing_pairs(graph: ChordedCycleGraph) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Chord-pair counting bounds evaluated on one graph.
+def bound_report(graph: ChordedCycleGraph, spectrum: Iterable[int]) -> dict:
+    """Chord-pair counting bounds evaluated on one graph, as an ordered dict.
 
     Every pair of chords supports at least one cycle through exactly those
     two chords, and crossing pairs support two, so on a repeat-free graph
-    C(k, 2) < n and 2c + (C(k, 2) - c) <= n must both hold.
+    C(k, 2) < n (``pair_bound_ok``) and 2c + (C(k, 2) - c) <= n
+    (``crossing_bound_ok``) must both hold; their failure there is a bug.
+    ``edge_upper_bound`` is n + sqrt(2n) + 1 and ``singer_lower_bound`` is
+    n + sqrt(n - 3/4) - 3/2.
     """
-
-    chord_count: int
-    crossing_count: int
-    chord_pairs: int
-    pair_bound_ok: bool          # C(k, 2) < n
-    crossing_bound_ok: bool      # 2c + (C(k, 2) - c) <= n
-    edge_upper_bound: float      # n + sqrt(2n) + 1
-    singer_lower_bound: float    # n + sqrt(n - 3/4) - 3/2
-
-
-def bound_report(graph: ChordedCycleGraph, spectrum: Iterable[int]) -> BoundReport:
-    """Evaluate both bounds; their failure on a repeat-free spectrum is a bug."""
     k = len(graph.chords)
     crossings = crossing_pairs(graph)
     pairs = k * (k - 1) // 2
-    report = BoundReport(
-        chord_count=k,
-        crossing_count=crossings,
-        chord_pairs=pairs,
-        pair_bound_ok=pairs < graph.n,
-        crossing_bound_ok=2 * crossings + (pairs - crossings) <= graph.n,
-        edge_upper_bound=graph.n + math.sqrt(2 * graph.n) + 1,
-        singer_lower_bound=graph.n + math.sqrt(graph.n - 0.75) - 1.5,
-    )
-    if has_repeated_length(spectrum) is None and not (report.pair_bound_ok
-                                                      and report.crossing_bound_ok):
+    report = {
+        "chord_count": k,
+        "crossing_count": crossings,
+        "chord_pairs": pairs,
+        "pair_bound_ok": pairs < graph.n,
+        "crossing_bound_ok": 2 * crossings + (pairs - crossings) <= graph.n,
+        "edge_upper_bound": graph.n + math.sqrt(2 * graph.n) + 1,
+        "singer_lower_bound": graph.n + math.sqrt(graph.n - 0.75) - 1.5,
+    }
+    if has_repeated_length(spectrum) is None and not (report["pair_bound_ok"]
+                                                      and report["crossing_bound_ok"]):
         raise InternalInconsistency(
             f"counting bound failed on a repeat-free graph: {report}")
     return report
@@ -186,12 +175,11 @@ def verification_report(graph: ChordedCycleGraph,
                         budget: int = DEFAULT_CYCLE_BUDGET) -> dict:
     """JSON-ready verification summary with a stable key order."""
     spectrum = enumerate_cycles(graph, budget)
-    report = bound_report(graph, spectrum)
     return {
         "n": graph.n,
         "edges": graph.edge_count,
         "chords": [list(chord) for chord in graph.chords],
         "spectrum": list(spectrum),
         "repeated": has_repeated_length(spectrum) is not None,
-        "bounds": asdict(report),
+        "bounds": bound_report(graph, spectrum),
     }

@@ -124,10 +124,10 @@ def exact_g(n: int, budget: int = DEFAULT_NODE_BUDGET,
     host, about 0.2 s at n = 62, 1.5 s at n = 120 and 8 s at n = 200).
     Without the cap, ``exact-g 1000 --budget 1`` would hang.
     """
-    if not 3 <= n <= 62:
-        raise ValueError("n must lie in 3..62")
     if budget < 1:
         raise ValueError("budget must be positive")
+    if not 3 <= n <= 62:
+        raise ValueError("n must lie in 3..62")
 
     candidates = [(u, v)
                   for u in range(1, n + 1)

@@ -53,11 +53,15 @@ def singer_difference_set(q: int) -> PerfectDifferenceSet:
     moduli, takes the canonical primitive element, and collects the
     exponents (mod n) of the powers with vanishing top coordinate.  Fully
     deterministic, so equal q always yields equal output.  Not re-checked
-    here: ``verify_perfect_difference_set`` is for the caller to run.
+    here: ``verify_perfect_difference_set`` is for the caller to run.  A q
+    that is no prime power raises ``ValueError`` naming the nearest ones.
     """
     decomposition = prime_power(q)
     if decomposition is None:
-        raise ValueError(f"{q} is not a prime power")
+        below = next(filter(prime_power, range(q - 1, 1, -1)), None)
+        above = next(filter(prime_power, itertools.count(max(q + 1, 2))))
+        nearest = above if below is None else f"{below} and {above}"
+        raise ValueError(f"{q} is not a prime power (nearest: {nearest})")
     p, m = decomposition
     ground = ff.prime_field(p)
     mid = ground if m == 1 else ff.tables(ff.extend(ground, ff.find_irreducible(ground, m)))

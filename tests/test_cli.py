@@ -1,6 +1,7 @@
 """CLI behavior: schemas, exit codes, determinism, file output."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -229,6 +230,18 @@ class TestHarness:
         with pytest.raises(SystemExit) as info:
             cli.main(["no-such-command"])
         assert info.value.code == 2
+
+    def test_parser_reused_after_usage_error_and_help(self, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        for argv, code in ((["singer"], 2), (["--help"], 0)):
+            with pytest.raises(SystemExit) as info:
+                cli.main(argv)
+            assert info.value.code == code
+        capsys.readouterr()
+        golden = json.loads((pathlib.Path(__file__).parent / "golden" / "cli.json").read_text())
+        line = "singer 3 --format tsv"
+        code, out, err = run_cli(capsys, *line.split())
+        assert {"exit": code, "stdout": out, "stderr": err} == golden[line]
 
     def test_console_entry_point(self):
         import subprocess

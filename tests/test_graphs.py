@@ -35,11 +35,6 @@ class TestConstruction:
     def test_cycle_edges_wrap(self):
         assert graphs.ChordedCycleGraph(4).cycle_edges() == [(1, 2), (2, 3), (3, 4), (4, 1)]
 
-    def test_adjacency_sorted(self):
-        graph = graphs.build_graph(7, [3, 5])
-        assert graph.adjacency[1] == (2, 3, 5, 7)
-        assert graph.adjacency[4] == (3, 5)
-
     def test_anchor_range_enforced(self):
         for bad in (1, 2, 7, 8):
             with _raises(f"chord anchor {bad} must lie in 3..6"):

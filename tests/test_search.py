@@ -25,6 +25,15 @@ def _relabel(graph, mapping):
     return ChordedCycleGraph(graph.n, tuple((mapping[u], mapping[v]) for u, v in graph.chords))
 
 
+def _adjacency(graph):
+    """Sorted neighbour tuple of every vertex of a chorded cycle graph."""
+    neighbors = {v: set() for v in range(1, graph.n + 1)}
+    for u, v in graph.cycle_edges() + list(graph.chords):
+        neighbors[u].add(v)
+        neighbors[v].add(u)
+    return {v: tuple(sorted(ns)) for v, ns in neighbors.items()}
+
+
 def _star(n):
     """The chords {1, a} on the single-vertex optimum's anchors."""
     return tuple((1, a) for a in search.max_single_vertex_chords(n)[1])
@@ -106,7 +115,7 @@ class TestIncrementalLengths:
     with the graph's spectrum as the lengths already used."""
 
     def test_single_chord_on_bare_cycle(self):
-        adjacency = ChordedCycleGraph(7).adjacency
+        adjacency = _adjacency(ChordedCycleGraph(7))
         assert sorted(search._new_cycle_lengths(adjacency, 1, 3, {7})) == [3, 6]
         assert sorted(search._new_cycle_lengths(adjacency, 2, 6, {7})) == [4, 5]
         assert search._new_cycle_lengths(adjacency, 2, 6, {7, 4}) is None
@@ -126,7 +135,7 @@ class TestIncrementalLengths:
             u, v = rng.choice(free)
             after = list(oracle.enumerate_cycles(
                 ChordedCycleGraph(n, tuple(sorted(chords + ((u, v),))))))
-            fresh = search._new_cycle_lengths(graph.adjacency, u, v, set(before))
+            fresh = search._new_cycle_lengths(_adjacency(graph), u, v, set(before))
             repeats = oracle.has_repeated_length(after) is not None
             assert (fresh is None) == repeats, (n, chords, (u, v))
             if fresh is not None:
@@ -201,7 +210,7 @@ class TestExactSearch:
             assert result.g_value == n + len(result.witness.chords)
             assert result.g_value < n + math.sqrt(2 * n) + 1
             report = oracle.bound_report(result.witness, spectrum)
-            assert report.pair_bound_ok and report.crossing_bound_ok
+            assert report["pair_bound_ok"] and report["crossing_bound_ok"]
 
     def test_budget_truncation(self):
         result = search.exact_g(12, budget=5)
@@ -218,6 +227,10 @@ class TestExactSearch:
             search.exact_g(63)
         with pytest.raises(ValueError):
             search.exact_g(10, budget=0)
+
+    def test_budget_refused_before_n(self):
+        with pytest.raises(ValueError, match="^budget must be positive$"):
+            search.exact_g(100, budget=0)
 
     def test_repeats_never_recover(self):
         # once a length repeats, any extension still repeats: the reason the

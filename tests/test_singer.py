@@ -67,9 +67,9 @@ class TestConstruction:
         assert singer.verify_perfect_difference_set(diffset)
 
     def test_not_prime_power_rejected(self):
-        with pytest.raises(ValueError, match="^6 is not a prime power$"):
+        with pytest.raises(ValueError, match=r"^6 is not a prime power \(nearest: 5 and 7\)$"):
             singer.singer_difference_set(6)
-        with pytest.raises(ValueError, match="^1 is not a prime power$"):
+        with pytest.raises(ValueError, match=r"^1 is not a prime power \(nearest: 2\)$"):
             singer.singer_difference_set(1)
 
     @pytest.mark.parametrize("q", sorted(GOLDEN))
