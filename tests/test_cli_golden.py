@@ -69,6 +69,12 @@ def _command_lines() -> list[str]:
               "spectrum 6 --budget 0", "spectrum 3 --budget 0", "spectrum 3 --budget -1",
               "exact-g 100 --budget 0", "exact-g 2 --budget 5",
               "verify build-3.edgelist --format edgelist --budget 0"]
+    # the parser's own output, at COLUMNS=80: help texts and usage errors
+    lines += ["--help"] + [f"{command} --help" for command in (
+        "singer", "derive", "build", "verify", "spectrum", "exact-g", "table")]
+    lines += ["singer", "singer abc", "build 3 --format json", "verify",
+              "exact-g 12 --budget abc", "spectrum 3 --budget", "table",
+              "no-such-command"]
     return lines
 
 
@@ -88,13 +94,16 @@ def _verify_input(name: str, golden: dict) -> str:
 
 def _invoke(line: str, golden: dict, workdir: pathlib.Path) -> dict:
     argv = line.split()
-    if argv[0] == "verify":
+    if argv[0] == "verify" and len(argv) > 1 and not argv[1].startswith("-"):
         target = workdir / argv[1]
         target.write_text(_verify_input(argv[1], golden))
         argv[1] = str(target)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse: --help, or a usage error
+            code = exc.code
     return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
@@ -111,12 +120,14 @@ def test_grid_is_recorded(golden):
                          ids=[line.replace(" ", "_") for line in COMMAND_LINES])
 def test_output_matches_golden(line, golden, tmp_path, monkeypatch):
     monkeypatch.delenv(cli.BUDGET_ENV, raising=False)
+    monkeypatch.setenv("COLUMNS", "80")
     assert _invoke(line, golden, tmp_path) == golden[line]
 
 
 def _record() -> None:
     import tempfile
     os.environ.pop(cli.BUDGET_ENV, None)
+    os.environ["COLUMNS"] = "80"
     recorded: dict = {}
     with tempfile.TemporaryDirectory() as workdir:
         for line in COMMAND_LINES:
