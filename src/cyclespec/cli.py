@@ -32,47 +32,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hamiltonian graphs whose cycle lengths are pairwise "
                     "distinct, constructed from perfect difference sets.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, fmt_choices, fmt_default):
-        p.add_argument("--format", choices=fmt_choices, default=fmt_default)
+    for name, (_, positional, text, formats, budget) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        p.add_argument(positional, type=str if positional == "file" else int)
+        if budget is not None:
+            p.add_argument("--budget", type=int, metavar=budget)
+        p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--output", metavar="FILE",
                        help="write data here instead of stdout")
-
-    p = sub.add_parser("singer", help="perfect difference set for prime power q")
-    p.add_argument("q", type=int)
-    common(p, ["tsv", "json"], "tsv")
-
-    p = sub.add_parser("derive", help="distinct cycle set derived from the "
-                                      "difference set for q")
-    p.add_argument("q", type=int)
-    common(p, ["tsv", "json"], "tsv")
-
-    p = sub.add_parser("build", help="serialize the chorded cycle graph for q")
-    p.add_argument("q", type=int)
-    common(p, graphs.FORMATS, "edgelist")
-
-    p = sub.add_parser("verify", help="enumerate cycles of a serialized graph "
-                                      "and report spectrum and bounds as JSON")
-    p.add_argument("file")
-    p.add_argument("--format", choices=graphs.FORMATS, default="edgelist")
-    p.add_argument("--budget", type=int, metavar="CYCLES")
-    p.add_argument("--output", metavar="FILE")
-
-    p = sub.add_parser("spectrum", help="predicted vs enumerated spectrum for q")
-    p.add_argument("q", type=int)
-    p.add_argument("--budget", type=int, metavar="CYCLES")
-    common(p, ["tsv", "json"], "tsv")
-
-    p = sub.add_parser("exact-g", help="exhaustive maximum-edge search for n")
-    p.add_argument("n", type=int)
-    p.add_argument("--budget", type=int, metavar="NODES")
-    common(p, ["tsv", "json"], "tsv")
-
-    p = sub.add_parser("table", help="one verified construction row per prime "
-                                     "power q <= qmax")
-    p.add_argument("qmax", type=int)
-    common(p, ["tsv", "json"], "tsv")
-
     return parser
 
 
@@ -220,14 +187,24 @@ def _cmd_table(args: argparse.Namespace) -> tuple[int, dict]:
     return (EXIT_OK if all_ok else EXIT_VERIFICATION), {"rows": rows}
 
 
+# One row per subcommand, in --help order: handler, positional argument,
+# help text, --format choices (the first is the default), --budget metavar
+# (None: no --budget).
 _COMMANDS = {
-    "singer": _cmd_singer,
-    "derive": _cmd_derive,
-    "build": _cmd_build,
-    "verify": _cmd_verify,
-    "spectrum": _cmd_spectrum,
-    "exact-g": _cmd_exact_g,
-    "table": _cmd_table,
+    "singer": (_cmd_singer, "q", "perfect difference set for prime power q",
+               ("tsv", "json"), None),
+    "derive": (_cmd_derive, "q", "distinct cycle set derived from the "
+               "difference set for q", ("tsv", "json"), None),
+    "build": (_cmd_build, "q", "serialize the chorded cycle graph for q",
+              graphs.FORMATS, None),
+    "verify": (_cmd_verify, "file", "enumerate cycles of a serialized graph "
+               "and report spectrum and bounds as JSON", graphs.FORMATS, "CYCLES"),
+    "spectrum": (_cmd_spectrum, "q", "predicted vs enumerated spectrum for q",
+                 ("tsv", "json"), "CYCLES"),
+    "exact-g": (_cmd_exact_g, "n", "exhaustive maximum-edge search for n",
+                ("tsv", "json"), "NODES"),
+    "table": (_cmd_table, "qmax", "one verified construction row per prime "
+              "power q <= qmax", ("tsv", "json"), None),
 }
 
 
@@ -235,7 +212,7 @@ def main(argv: list[str] | None = None) -> int:
     """Run one invocation; returns the exit code."""
     args = build_parser().parse_args(argv)
     try:
-        code, record = _COMMANDS[args.command](args)
+        code, record = _COMMANDS[args.command][0](args)
         text = _render(args.command, args.format, record)
         if args.output is None:
             sys.stdout.write(text)
