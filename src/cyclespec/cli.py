@@ -25,6 +25,18 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
+def _integer(text: str) -> int:
+    """An optional minus sign and ASCII digits.  int() alone also takes other
+    scripts' digits, underscores, surrounding whitespace and a plus sign."""
+    digits = text.removeprefix("-")
+    try:
+        if digits.isascii() and digits.isdigit():
+            return int(text)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -34,9 +46,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, positional, text, formats, budget) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
-        p.add_argument(positional, type=str if positional == "file" else int)
+        p.add_argument(positional, type=str if positional == "file" else _integer)
         if budget is not None:
-            p.add_argument("--budget", type=int, metavar=budget)
+            p.add_argument("--budget", type=_integer, metavar=budget)
         p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--output", metavar="FILE",
                        help="write data here instead of stdout")
@@ -52,8 +64,8 @@ def _effective_budget(args: argparse.Namespace, fallback: int) -> int:
     if raw is None:
         return fallback
     try:
-        return int(raw)
-    except ValueError:
+        return _integer(raw)
+    except argparse.ArgumentTypeError:
         raise ValueError(f"{BUDGET_ENV} must be an integer, got {raw!r}")
 
 

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -203,6 +204,32 @@ class TestTable:
         assert run_cli(capsys, "table", "1")[0] == 2
 
 
+class TestIntegerArguments:
+    """q, n, qmax and budgets are an optional minus sign and ASCII digits."""
+
+    @pytest.mark.parametrize("argv", [
+        ["singer", "\u0663"],  # ARABIC-INDIC DIGIT THREE
+        ["exact-g", "1_2"],
+        ["spectrum", "3", "--budget", "\uff15"],  # FULLWIDTH DIGIT FIVE
+        ["table", "+3"],
+        ["singer", "1" * 5000],  # more digits than int() converts
+    ], ids=["arabic-indic-q", "underscore-n", "fullwidth-budget", "plus-qmax",
+            "too-many-digits"])
+    def test_refused_as_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f": invalid int value: {argv[-1]!r}\n")
+
+    def test_environment_budget_refused(self, capsys, monkeypatch):
+        monkeypatch.setenv(cli.BUDGET_ENV, " \u0663 ")
+        code, out, err = run_cli(capsys, "spectrum", "2")
+        assert (code, out) == (2, "")
+        assert err == f"error: {cli.BUDGET_ENV} must be an integer, got ' \u0663 '\n"
+
+
 class TestHarness:
     def test_identical_invocations_identical_bytes(self, capsys):
         first = run_cli(capsys, "table", "5")
@@ -242,6 +269,12 @@ class TestHarness:
         line = "singer 3 --format tsv"
         code, out, err = run_cli(capsys, *line.split())
         assert {"exit": code, "stdout": out, "stderr": err} == golden[line]
+
+    def test_readme_lists_every_command(self):
+        readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme[readme.index("## Command line"):readme.index("## Library")]
+        (block,) = re.findall(r"```sh\n(.*?)```", section, re.S)
+        assert set(cli._COMMANDS) <= set(re.findall(r"^cyclespec (\S+)", block, re.M))
 
     def test_console_entry_point(self):
         import subprocess

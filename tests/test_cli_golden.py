@@ -75,6 +75,8 @@ def _command_lines() -> list[str]:
     lines += ["singer", "singer abc", "build 3 --format json", "verify",
               "exact-g 12 --budget abc", "spectrum 3 --budget", "table",
               "no-such-command"]
+    # integers are ASCII decimal: other scripts' digits, "_" and "+" are refused
+    lines += ["singer \u0663", "exact-g 1_2", "spectrum 3 --budget \uff15", "table +3"]
     return lines
 
 
