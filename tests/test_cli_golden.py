@@ -77,6 +77,9 @@ def _command_lines() -> list[str]:
               "no-such-command"]
     # integers are ASCII decimal: other scripts' digits, "_" and "+" are refused
     lines += ["singer \u0663", "exact-g 1_2", "spectrum 3 --budget \uff15", "table +3"]
+    # large q: towers 49 and 64, prime 37
+    lines += ["singer 64 --format tsv", "derive 49 --format json", "spectrum 37 --format tsv",
+              "build 27 --format graph6", "table 64 --format json"]
     return lines
 
 
