@@ -1,10 +1,10 @@
 """Perfect difference sets in Z_n for n = q^2 + q + 1, q a prime power.
 
-The construction walks the powers of a primitive element of GF(q^3) and
-keeps the exponents whose top coordinate over GF(q) vanishes.  Those
-exponents fall into exactly q + 1 residue classes mod n, and their ordered
-differences hit every nonzero residue exactly once.  A brute-force
-backtracking search over Z_n doubles as an independent existence oracle.
+The construction walks the powers of a primitive element g of GF(q^3) and
+keeps the exponents whose top coordinate over GF(q) vanishes.  As g^n lies in
+GF(q)*, that pattern repeats with period n; one period holds q + 1 such
+exponents, and their ordered differences hit every nonzero residue once.  A
+brute-force search over Z_n doubles as an independent existence oracle.
 """
 
 from __future__ import annotations
@@ -50,8 +50,9 @@ def singer_difference_set(q: int) -> PerfectDifferenceSet:
     """Size-(q+1) perfect difference set in Z_{q^2+q+1}.
 
     Builds the tower GF(p) -> GF(q) -> GF(q^3) from canonical irreducible
-    moduli, takes the canonical primitive element, and collects the
-    exponents (mod n) of the powers with vanishing top coordinate.  Fully
+    moduli, takes the canonical primitive element g, and collects the
+    exponents e < n of the powers g^e with vanishing top coordinate.  One
+    period suffices: g^n = c lies in GF(q)*, so g^(e+n) = c g^e.  Fully
     deterministic, so equal q always yields equal output.  Not re-checked
     here: ``verify_perfect_difference_set`` is for the caller to run.  A q
     that is no prime power raises ``ValueError`` naming the nearest ones.
@@ -68,13 +69,12 @@ def singer_difference_set(q: int) -> PerfectDifferenceSet:
     top = ff.extend(mid, ff.find_irreducible(mid, 3))
     gamma = ff.element(top, ff.find_primitive(top))
     n = q * q + q + 1
-    residues = set()
-    power = (1, 0, 0)
-    for exponent in range(top.order - 1):
+    elements, power = [], (1, 0, 0)
+    for exponent in range(n):
         if power[2] == 0:
-            residues.add(exponent % n)
+            elements.append(exponent)
         power = ff.multiply(top, power, gamma)
-    return PerfectDifferenceSet(n, tuple(sorted(residues)))
+    return PerfectDifferenceSet(n, tuple(elements))
 
 
 def verify_perfect_difference_set(candidate: PerfectDifferenceSet) -> bool:

@@ -7,7 +7,7 @@ import pytest
 from cyclespec import cli, finite_field, singer
 
 
-PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9, 11, 13]
+PRIME_POWERS = [q for q in range(2, 129) if singer.prime_power(q)]
 
 # singer_difference_set(q).elements for every prime power q <= 32, recorded
 # from the object-tower field arithmetic that preceded the flat integer core.
@@ -82,6 +82,41 @@ class TestConstruction:
     def test_deterministic(self):
         assert (singer.singer_difference_set(4).elements
                 == singer.singer_difference_set(4).elements)
+
+
+def _full_walk(q: int) -> tuple[int, ...]:
+    """Reference: walk all q^3 - 1 powers of the same primitive element and
+    fold each exponent with vanishing top coordinate mod n."""
+    p, m = singer.prime_power(q)
+    ground = finite_field.prime_field(p)
+    mid = ground if m == 1 else finite_field.tables(
+        finite_field.extend(ground, finite_field.find_irreducible(ground, m)))
+    top = finite_field.extend(mid, finite_field.find_irreducible(mid, 3))
+    gamma = finite_field.element(top, finite_field.find_primitive(top))
+    n = q * q + q + 1
+    residues = set()
+    power = (1, 0, 0)
+    for exponent in range(top.order - 1):
+        if power[2] == 0:
+            residues.add(exponent % n)
+        power = finite_field.multiply(top, power, gamma)
+    return tuple(sorted(residues))
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, 65) if singer.prime_power(q)])
+def test_one_period_matches_full_walk(q):
+    assert singer.singer_difference_set(q).elements == _full_walk(q)
+
+
+def test_walk_covers_one_period(monkeypatch):
+    # counted through the module attribute: the set-up and n = 553 walk steps
+    # take 1,873 products at q = 23, a walk over all q^3 - 1 powers 13,486
+    calls = []
+    original = finite_field.multiply
+    monkeypatch.setattr(finite_field, "multiply",
+                        lambda *args: calls.append(args) or original(*args))
+    singer.singer_difference_set(23)
+    assert len(calls) < 23 ** 3 - 1
 
 
 @pytest.mark.parametrize("q", [4, 5], ids=["tower", "prime"])
