@@ -3,8 +3,8 @@
 The construction walks the powers of a primitive element g of GF(q^3) and
 keeps the exponents whose top coordinate over GF(q) vanishes.  As g^n lies in
 GF(q)*, that pattern repeats with period n; one period holds q + 1 such
-exponents, and their ordered differences hit every nonzero residue once.  A
-brute-force search over Z_n doubles as an independent existence oracle.
+exponents, and their ordered differences hit every nonzero residue once.
+A brute-force backtracking search over Z_n is an independent existence oracle.
 """
 
 from __future__ import annotations

@@ -109,8 +109,8 @@ def test_one_period_matches_full_walk(q):
 
 
 def test_walk_covers_one_period(monkeypatch):
-    # counted through the module attribute: the set-up and n = 553 walk steps
-    # take 1,873 products at q = 23, a walk over all q^3 - 1 powers 13,486
+    # each walk step is one product, counted through the module attribute;
+    # one period is n = 553 steps, the full walk q^3 - 1 = 12,166
     calls = []
     original = finite_field.multiply
     monkeypatch.setattr(finite_field, "multiply",
