@@ -1,19 +1,21 @@
 """Exhaustive search for the maximum number of chords a labeled n-cycle
 admits while keeping all cycle lengths distinct.
 
-State space: chord subsets, extended in lexicographic order.  Three facts
-keep it small.  A graph that already repeats a length never recovers,
-because adding chords only adds cycles.  A repeat-free graph satisfies
-C(k, 2) < n, capping the depth.  And the property is invariant under the
-2n dihedral relabelings of the cycle, so only subsets lexicographically
-minimal within their orbit are expanded; minimality is hereditary under
-removal of the largest chord, so the canonical subsets form a subtree.
-Chords are handled as indices into the lexicographic candidate list, and
-each relabeling as a table from candidate index to image index.
+State space: chord subsets, extended in lexicographic order.  Adding
+chords only adds cycles, so a chord that repeats a length at a node does
+so in its whole subtree: each node tests its candidates once and passes
+the survivors down.  A chord added to the cycle plus j chords closes at
+least j + 2 cycles (its two arcs, and a path through each chosen chord
+using no other), all of distinct lengths in 3..n-1, so k chords need
+k(k + 3)/2 <= n - 3.  Only subsets least in their orbit under the 2n
+dihedral relabelings are expanded (minimality is hereditary under removal
+of the largest chord).  Chords are indices into the lexicographic
+candidate list, and each relabeling a table of image indices.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import oracle
@@ -38,26 +40,16 @@ class ExactResult:
     exhaustive: bool
 
 
-def max_chords(n: int) -> int:
-    """Largest k with C(k, 2) < n."""
-    k = 1
-    while (k + 1) * k // 2 < n:
-        k += 1
-    return k
+def chord_cap(n: int) -> int:
+    """Largest k with k(k + 3)/2 <= n - 3, the most chords a repeat-free
+    n-cycle can carry."""
+    return (math.isqrt(8 * n - 15) - 3) // 2
 
 
 def dihedral_maps(n: int) -> list[tuple[int, ...]]:
     """The 2n rotation/reflection relabelings, as lookup tables indexed by vertex."""
-    maps = []
-    for shift in range(n):
-        rotation = [0] * (n + 1)
-        reflection = [0] * (n + 1)
-        for v in range(1, n + 1):
-            rotation[v] = (v - 1 + shift) % n + 1
-            reflection[v] = (shift - (v - 1)) % n + 1
-        maps.append(tuple(rotation))
-        maps.append(tuple(reflection))
-    return maps
+    return [(0,) + tuple((sign * (v - 1) + shift) % n + 1 for v in range(1, n + 1))
+            for shift in range(n) for sign in (1, -1)]
 
 
 def _image_tables(candidates: list[tuple[int, int]],
@@ -108,16 +100,15 @@ def _new_cycle_lengths(adjacency, u: int, v: int, used: set[int]) -> list[int] |
     return fresh
 
 
-def exact_g(n: int, budget: int = DEFAULT_NODE_BUDGET,
-            canonical: bool = True) -> ExactResult:
+def exact_g(n: int, budget: int = DEFAULT_NODE_BUDGET) -> ExactResult:
     """Maximum edges of a repeat-free graph made of the labeled n-cycle
     plus chords, with the lexicographically least maximum witness.
 
     Depth-first over chord subsets in lexicographic order; the first
-    witness of each size found is therefore the least one.  ``canonical``
-    toggles the dihedral-orbit pruning (results never change, node counts
-    do).  n = 20 is exhaustive after 177,510 nodes, well within the
-    default budget.
+    witness of each size found is therefore the least one, since the bounds
+    only cut subtrees that cannot beat the incumbent.  A node is one repeat
+    test (``_new_cycle_lengths``), and ``budget`` caps the number of them.
+    n = 22 is exhaustive after 663 nodes.
 
     n is capped at 62 because the image tables are built before the node
     budget is first checked, in time growing like n^3 (on a shared 2-vCPU
@@ -133,8 +124,8 @@ def exact_g(n: int, budget: int = DEFAULT_NODE_BUDGET,
                   for u in range(1, n + 1)
                   for v in range(u + 1, n + 1)
                   if v - u != 1 and not (u == 1 and v == n)]
-    depth_cap = max_chords(n)
-    images = _image_tables(candidates, dihedral_maps(n)) if canonical else []
+    cap = chord_cap(n)
+    images = _image_tables(candidates, dihedral_maps(n))
 
     adjacency: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
     for u, v in ChordedCycleGraph(n).cycle_edges():
@@ -147,38 +138,47 @@ def exact_g(n: int, budget: int = DEFAULT_NODE_BUDGET,
     nodes = 0
     truncated = False
 
-    def walk(start: int) -> None:
+    def walk(pool: list[int]) -> None:
         nonlocal best, nodes, truncated
-        if len(chosen) == depth_cap:
-            return
-        for index in range(start, len(candidates)):
-            if len(chosen) + (len(candidates) - index) <= len(best):
-                return  # cannot beat the incumbent even taking all the rest
+        depth = len(chosen)
+        free = n - 2 - len(used_lengths)  # lengths in 3..n-1 not yet used
+        need = len(best) + 1 - depth  # chords still needed to beat the incumbent
+        if need * (2 * depth + need + 3) > 2 * free:
+            return  # the j-th chord added brings at least j + 2 cycles
+        survivors = []
+        for index in pool:
             nodes += 1
             if nodes > budget:
                 truncated = True
                 return
             u, v = candidates[index]
             fresh = _new_cycle_lengths(adjacency, u, v, used_lengths)
-            if fresh is None:
+            if fresh is not None:
+                survivors.append((index, fresh))
+        sizes = sorted(len(fresh) for _, fresh in survivors)
+        if len(sizes) < need or sum(sizes[:need]) + need * (need - 1) // 2 > free:
+            return  # each later chord also closes a cycle through each earlier one
+        for position, (index, fresh) in enumerate(survivors):
+            if depth + len(survivors) - position <= len(best):
+                return
+            if not _is_canonical(chosen + [index], images):
                 continue
-            if images and not _is_canonical(chosen + [index], images):
-                continue
+            u, v = candidates[index]
             chosen.append(index)
             used_lengths.update(fresh)
             adjacency[u].append(v)
             adjacency[v].append(u)
             if len(chosen) > len(best):
                 best = tuple(chosen)
-            walk(index + 1)
+            walk([later for later, _ in survivors[position + 1:]])
             adjacency[u].remove(v)
             adjacency[v].remove(u)
             used_lengths.difference_update(fresh)
             chosen.pop()
-            if truncated:
+            if truncated or len(best) == cap:
                 return
 
-    walk(0)
+    walk(list(range(len(candidates))))
     witness = ChordedCycleGraph(n, tuple(candidates[index] for index in best))
     spectrum = oracle.enumerate_cycles(witness)
     if oracle.has_repeated_length(spectrum) is not None:

@@ -129,6 +129,7 @@ def test_criterion_5_exact_search_soundness():
         for result in results:
             assert result.exhaustive
             assert result.g_value < result.n + math.sqrt(2 * result.n) + 1
+            assert result.g_value <= result.n + (math.sqrt(8 * result.n - 15) - 3) / 2
             spectrum = oracle.enumerate_cycles(result.witness)
             assert oracle.has_repeated_length(spectrum) is None
             assert result.n in spectrum

@@ -14,7 +14,9 @@ from cyclespec.graphs import ChordedCycleGraph
 KNOWN_G = {3: 3, 4: 4, 5: 6, 6: 7, 7: 8, 8: 10, 9: 11, 10: 12, 11: 13, 12: 14}
 # exact values beyond the golden CLI grid, with their least witnesses
 LARGE_G = {19: (23, ((1, 3), (1, 6), (1, 12), (1, 14))),
-           20: (24, ((1, 3), (1, 5), (1, 10), (1, 14)))}
+           20: (24, ((1, 3), (1, 5), (1, 10), (1, 14))),
+           21: (25, ((1, 3), (1, 6), (1, 13), (1, 15))),
+           22: (26, ((1, 3), (1, 5), (1, 9), (1, 14)))}
 
 
 def _repeat_free(anchors, n):
@@ -44,14 +46,37 @@ def _chord_pool(n):
             if v - u != 1 and (u, v) != (1, n)]
 
 
+def _sharp_bound(n):
+    """n + (sqrt(8n - 15) - 3)/2, the edge bound that ``search.chord_cap`` floors."""
+    return n + (math.sqrt(8 * n - 15) - 3) / 2
+
+
 class TestHelpers:
-    def test_max_chords(self):
-        assert search.max_chords(3) == 2
-        assert search.max_chords(7) == 4
-        assert search.max_chords(12) == 5
-        for n in range(3, 40):
-            k = search.max_chords(n)
-            assert k * (k - 1) // 2 < n <= (k + 1) * k // 2
+    def test_chord_cap(self):
+        assert search.chord_cap(3) == 0
+        assert search.chord_cap(5) == 1
+        assert search.chord_cap(16) == 3
+        assert search.chord_cap(17) == 4
+        for n in range(3, 201):
+            k = search.chord_cap(n)
+            assert k * (k + 3) // 2 <= n - 3 < (k + 1) * (k + 4) // 2
+
+    def test_counting_lemma_on_random_chord_sets(self):
+        # k chords on the n-cycle close at least 1 + k(k + 3)/2 cycles, repeats
+        # or not: the j-th chord added brings its two arcs and one path through
+        # each earlier chord
+        rng = random.Random(2017)
+        for n in range(5, 21):
+            pool = _chord_pool(n)
+            for _ in range(12):
+                k = rng.randrange(0, min(6, len(pool)) + 1)
+                graph = ChordedCycleGraph(n, tuple(sorted(rng.sample(pool, k))))
+                assert len(oracle.enumerate_cycles(graph)) >= 1 + k * (k + 3) // 2
+
+    def test_every_known_value_is_within_the_cap(self):
+        for n, g_value in sorted(KNOWN_G.items()) + [(n, g) for n, (g, _) in LARGE_G.items()]:
+            assert g_value - n <= search.chord_cap(n)
+            assert g_value <= _sharp_bound(n)
 
     def test_dihedral_maps_are_cycle_symmetries(self):
         for n in (3, 5, 8):
@@ -143,11 +168,62 @@ class TestIncrementalLengths:
             outcomes[repeats] += 1
 
 
+def _max_chords(n):
+    """Largest k with C(k, 2) < n, the depth cap of the unpruned references."""
+    k = 1
+    while (k + 1) * k // 2 < n:
+        k += 1
+    return k
+
+
+def _plain_search(n):
+    """The unpruned reference: depth-first over chord subsets in
+    lexicographic order up to the C(k, 2) < n depth cap, cutting a branch
+    only where a length repeats or too few chords remain to beat the
+    incumbent.  No orbit test, no counting cap, no forward checking.
+    Returns (g, least maximum witness, repeat tests run)."""
+    pool = _chord_pool(n)
+    depth_cap = _max_chords(n)
+    adjacency = {v: [] for v in range(1, n + 1)}
+    for u, v in ChordedCycleGraph(n).cycle_edges():
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    used = {n}
+    chosen = []
+    state = {"best": (), "nodes": 0}
+
+    def walk(start):
+        if len(chosen) == depth_cap:
+            return
+        for index in range(start, len(pool)):
+            if len(chosen) + len(pool) - index <= len(state["best"]):
+                return
+            state["nodes"] += 1
+            u, v = pool[index]
+            fresh = search._new_cycle_lengths(adjacency, u, v, used)
+            if fresh is None:
+                continue
+            chosen.append(pool[index])
+            used.update(fresh)
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+            if len(chosen) > len(state["best"]):
+                state["best"] = tuple(chosen)
+            walk(index + 1)
+            adjacency[u].remove(v)
+            adjacency[v].remove(u)
+            used.difference_update(fresh)
+            chosen.pop()
+
+    walk(0)
+    return n + len(state["best"]), state["best"], state["nodes"]
+
+
 def _naive_g(n):
     """Sweep every chord subset up to the depth cap; no pruning at all."""
     pool = _chord_pool(n)
     best = 0
-    for size in range(search.max_chords(n), -1, -1):
+    for size in range(_max_chords(n), -1, -1):
         for subset in itertools.combinations(pool, size):
             spectrum = oracle.enumerate_cycles(ChordedCycleGraph(n, subset))
             if oracle.has_repeated_length(spectrum) is None:
@@ -172,11 +248,11 @@ class TestExactSearch:
 
     @pytest.mark.parametrize("n", range(3, 15))
     def test_pruning_does_not_change_answers(self, n):
-        pruned = search.exact_g(n, canonical=True)
-        plain = search.exact_g(n, canonical=False)
-        assert pruned.g_value == plain.g_value
-        assert pruned.witness == plain.witness  # both lexicographically least
-        assert pruned.nodes_explored <= plain.nodes_explored
+        pruned = search.exact_g(n)
+        g_value, witness, nodes = _plain_search(n)
+        assert pruned.g_value == g_value
+        assert pruned.witness.chords == witness  # both lexicographically least
+        assert pruned.nodes_explored <= nodes
 
     @pytest.mark.parametrize("n", sorted(LARGE_G))
     def test_large_values(self, n):
@@ -184,8 +260,8 @@ class TestExactSearch:
         result = search.exact_g(n)
         assert result.exhaustive
         assert (result.g_value, result.witness.chords) == (g_value, chords)
-        assert result.witness.chords == _star(n)
         assert g_value < n + math.sqrt(2 * n) + 1
+        assert g_value <= _sharp_bound(n)
         nx = pytest.importorskip("networkx")
         graph = nx.Graph(list(result.witness.cycle_edges()) + list(chords))
         lengths = sorted(len(cycle) for cycle in nx.simple_cycles(graph))
@@ -209,6 +285,7 @@ class TestExactSearch:
             assert oracle.has_repeated_length(spectrum) is None
             assert result.g_value == n + len(result.witness.chords)
             assert result.g_value < n + math.sqrt(2 * n) + 1
+            assert result.g_value <= _sharp_bound(n)
             report = oracle.bound_report(result.witness, spectrum)
             assert report["pair_bound_ok"] and report["crossing_bound_ok"]
 
@@ -292,10 +369,11 @@ class TestSingleVertexChords:
             assert size <= math.isqrt(n) + 2
             assert oracle.is_sidon(witness) or size < 2
 
-    @pytest.mark.parametrize("n", range(4, 19))
+    @pytest.mark.parametrize("n", range(4, 23))
     def test_star_is_the_least_maximum_witness(self, n):
         # observed, not proved: the exhaustive search's least witness is the
-        # single-vertex optimum for n = 4..20 (19 and 20 in test_large_values)
+        # single-vertex optimum for n = 4..24 (23 and 24 take seconds, so CI
+        # checks them outside these tests)
         assert search.exact_g(n).witness.chords == _star(n)
 
     def test_input_validation(self):
