@@ -144,7 +144,7 @@ def exact_g(n: int, budget: int = DEFAULT_NODE_BUDGET) -> ExactResult:
         free = n - 2 - len(used_lengths)  # lengths in 3..n-1 not yet used
         need = len(best) + 1 - depth  # chords still needed to beat the incumbent
         if need * (2 * depth + need + 3) > 2 * free:
-            return  # the j-th chord added brings at least j + 2 cycles
+            return  # a chord added to j chords closes at least j + 2 cycles
         survivors = []
         for index in pool:
             nodes += 1

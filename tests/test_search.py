@@ -63,8 +63,8 @@ class TestHelpers:
 
     def test_counting_lemma_on_random_chord_sets(self):
         # k chords on the n-cycle close at least 1 + k(k + 3)/2 cycles, repeats
-        # or not: the j-th chord added brings its two arcs and one path through
-        # each earlier chord
+        # or not: a chord added to j chords brings its two arcs and one path
+        # through each of them
         rng = random.Random(2017)
         for n in range(5, 21):
             pool = _chord_pool(n)
@@ -190,15 +190,17 @@ def _plain_search(n):
         adjacency[v].append(u)
     used = {n}
     chosen = []
-    state = {"best": (), "nodes": 0}
+    best = ()
+    nodes = 0
 
     def walk(start):
+        nonlocal best, nodes
         if len(chosen) == depth_cap:
             return
         for index in range(start, len(pool)):
-            if len(chosen) + len(pool) - index <= len(state["best"]):
+            if len(chosen) + len(pool) - index <= len(best):
                 return
-            state["nodes"] += 1
+            nodes += 1
             u, v = pool[index]
             fresh = search._new_cycle_lengths(adjacency, u, v, used)
             if fresh is None:
@@ -207,8 +209,8 @@ def _plain_search(n):
             used.update(fresh)
             adjacency[u].append(v)
             adjacency[v].append(u)
-            if len(chosen) > len(state["best"]):
-                state["best"] = tuple(chosen)
+            if len(chosen) > len(best):
+                best = tuple(chosen)
             walk(index + 1)
             adjacency[u].remove(v)
             adjacency[v].remove(u)
@@ -216,7 +218,7 @@ def _plain_search(n):
             chosen.pop()
 
     walk(0)
-    return n + len(state["best"]), state["best"], state["nodes"]
+    return n + len(best), best, nodes
 
 
 def _naive_g(n):
