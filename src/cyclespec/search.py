@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import oracle
+from . import graphs, oracle
 from .graphs import ChordedCycleGraph
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -30,7 +30,8 @@ class ExactResult:
 
     g_value = n + (maximum chord count found); witness is the first maximum
     subset in lexicographic order, which makes reruns byte-identical.
-    exhaustive is False only when the node budget truncated the search.
+    exhaustive is False only when the node budget truncated the search;
+    the witness is then the best set found, or the first-fit star if larger.
     """
 
     n: int
@@ -48,8 +49,16 @@ def chord_cap(n: int) -> int:
 
 def dihedral_maps(n: int) -> list[tuple[int, ...]]:
     """The 2n rotation/reflection relabelings, as lookup tables indexed by vertex."""
-    return [(0,) + tuple((sign * (v - 1) + shift) % n + 1 for v in range(1, n + 1))
-            for shift in range(n) for sign in (1, -1)]
+    maps = []
+    for shift in range(n):
+        rotation = [0] * (n + 1)
+        reflection = [0] * (n + 1)
+        for v in range(1, n + 1):
+            rotation[v] = (v - 1 + shift) % n + 1
+            reflection[v] = (shift - (v - 1)) % n + 1
+        maps.append(tuple(rotation))
+        maps.append(tuple(reflection))
+    return maps
 
 
 def _image_tables(candidates: list[tuple[int, int]],
@@ -100,6 +109,17 @@ def _new_cycle_lengths(adjacency, u: int, v: int, used: set[int]) -> list[int] |
     return fresh
 
 
+def _first_fit_star(n: int) -> tuple[tuple[int, int], ...]:
+    """Chords {1, a}, each anchor a = 3, 4, ... taken when the closed-form
+    census stays repeat-free: a witness found without a single repeat test."""
+    anchors: tuple[int, ...] = ()
+    for anchor in range(3, n):
+        trial = anchors + (anchor,)
+        if oracle.has_repeated_length(graphs.predicted_spectrum(n, trial)) is None:
+            anchors = trial
+    return graphs.build_graph(n, anchors).chords
+
+
 def exact_g(n: int, budget: int = DEFAULT_NODE_BUDGET) -> ExactResult:
     """Maximum edges of a repeat-free graph made of the labeled n-cycle
     plus chords, with the lexicographically least maximum witness.
@@ -108,6 +128,8 @@ def exact_g(n: int, budget: int = DEFAULT_NODE_BUDGET) -> ExactResult:
     witness of each size found is therefore the least one, since the bounds
     only cut subtrees that cannot beat the incumbent.  A node is one repeat
     test (``_new_cycle_lengths``), and ``budget`` caps the number of them.
+    A run cut by the budget reports the larger of its incumbent and the
+    first-fit star, which costs no repeat test.
     n = 22 is exhaustive after 663 nodes.
 
     n is capped at 62 because the image tables are built before the node
@@ -144,7 +166,8 @@ def exact_g(n: int, budget: int = DEFAULT_NODE_BUDGET) -> ExactResult:
         free = n - 2 - len(used_lengths)  # lengths in 3..n-1 not yet used
         need = len(best) + 1 - depth  # chords still needed to beat the incumbent
         if need * (2 * depth + need + 3) > 2 * free:
-            return  # a chord added to j chords closes at least j + 2 cycles
+            return  # a chord added to j chords closes at least j + 2 cycles;
+            # so a child of a node at the cap returns here, before any test
         survivors = []
         for index in pool:
             nodes += 1
@@ -179,12 +202,15 @@ def exact_g(n: int, budget: int = DEFAULT_NODE_BUDGET) -> ExactResult:
                 return
 
     walk(list(range(len(candidates))))
-    witness = ChordedCycleGraph(n, tuple(candidates[index] for index in best))
+    star = _first_fit_star(n) if truncated else ()
+    # max keeps the search's own set on a tie
+    chords = max(tuple(candidates[index] for index in best), star, key=len)
+    witness = ChordedCycleGraph(n, chords)
     spectrum = oracle.enumerate_cycles(witness)
     if oracle.has_repeated_length(spectrum) is not None:
         raise oracle.InternalInconsistency("witness re-check found a repeated length")
     return ExactResult(n=n,
-                       g_value=n + len(best),
+                       g_value=n + len(chords),
                        witness=witness,
                        nodes_explored=nodes,
                        exhaustive=not truncated)

@@ -298,6 +298,25 @@ class TestExactSearch:
         # whatever was found is still a valid repeat-free graph
         spectrum = oracle.enumerate_cycles(result.witness)
         assert oracle.has_repeated_length(spectrum) is None
+        # the root is still testing its candidates; the first-fit star stands in
+        assert (result.g_value, result.witness.chords) == (14, ((1, 3), (1, 5)))
+
+    def test_first_fit_star_is_a_maximal_witness(self):
+        for n in range(4, 63):
+            chords = search._first_fit_star(n)
+            assert oracle.has_repeated_length(
+                oracle.enumerate_cycles(ChordedCycleGraph(n, chords))) is None
+            for a in range(3, n):
+                if (1, a) not in chords:
+                    bigger = ChordedCycleGraph(n, tuple(sorted(chords + ((1, a),))))
+                    assert oracle.has_repeated_length(oracle.enumerate_cycles(bigger)) is not None
+
+    @pytest.mark.parametrize("n", [5, 12, 17, 30, 62])
+    def test_truncated_run_reports_at_least_the_first_fit_star(self, n):
+        result = search.exact_g(n, budget=1)
+        assert not result.exhaustive
+        assert result.g_value == n + len(search._first_fit_star(n))
+        assert oracle.has_repeated_length(oracle.enumerate_cycles(result.witness)) is None
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
