@@ -58,7 +58,7 @@ def _command_lines() -> list[str]:
     lines += [f"exact-g {n} --format {fmt}"
               for n in (4, 8, 12, 13, 14, 15, 16, 17) for fmt in ("tsv", "json")]
     lines += [f"exact-g {n} --budget {budget} --format {fmt}"
-              for n, budget in ((12, 5), (16, 5000), (17, 5000))
+              for n, budget in ((12, 5), (16, 5000), (17, 500), (17, 5000))
               for fmt in ("tsv", "json")]
     lines += [f"table 9 --format {fmt}" for fmt in ("tsv", "json")]
     lines += [f"verify build-3.{fmt} --format {fmt}" for fmt in GRAPH_FORMATS]
@@ -115,7 +115,7 @@ def _invoke(line: str, golden: dict, workdir: pathlib.Path) -> dict:
 
 @pytest.fixture(scope="module")
 def golden() -> dict:
-    return json.loads(GOLDEN.read_text())
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
 def test_grid_is_recorded(golden):
@@ -138,7 +138,7 @@ def _record() -> None:
     with tempfile.TemporaryDirectory() as workdir:
         for line in COMMAND_LINES:
             recorded[line] = _invoke(line, recorded, pathlib.Path(workdir))
-    GOLDEN.write_text(json.dumps(recorded, indent=1) + "\n")
+    GOLDEN.write_text(json.dumps(recorded, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":
