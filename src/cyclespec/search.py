@@ -11,6 +11,14 @@ k(k + 3)/2 <= n - 3.  Only subsets least in their orbit under the 2n
 dihedral relabelings are expanded (minimality is hereditary under removal
 of the largest chord).  Chords are indices into the lexicographic
 candidate list, and each relabeling a table of image indices.
+
+Forward check: a survivor c handed to the child that adds chord x keeps
+the cycles its test found, F(c), and gains the one or two cycles through
+c and x alone, whose lengths T(c, x) are arithmetic in the four
+endpoints.  So before its own test, c is known to add K(c) = F(c) + T(c, x).
+The child drops c when K(c) repeats a length or meets one in use (its
+test would fail), and is cut before any test when the K sets show that
+the chords it still needs cannot fit in the free lengths.
 """
 
 from __future__ import annotations
@@ -81,6 +89,30 @@ def _is_canonical(trial: list[int], images: list[tuple[int, ...]]) -> bool:
     return True
 
 
+def _can_fit(pool: list[tuple], need: int, free: int) -> bool:
+    """Whether ``need`` more chords from ``pool`` might fit in ``free``
+    lengths.  Each entry is (candidate, K, |K|, ...), K a bit set of lengths
+    the candidate is known to add.  Each later chord also closes a cycle
+    through each earlier one, so the need smallest |K| plus C(need, 2) must
+    fit, and for two or more chords some pair with disjoint K sets must
+    have |K_a| + |K_b| + 1 <= free."""
+    if len(pool) < need:
+        return False
+    sizes = sorted(entry[2] for entry in pool)
+    if sum(sizes[:need]) + need * (need - 1) // 2 > free:
+        return False
+    if need < 2:
+        return True
+    ranked = sorted(pool, key=lambda entry: entry[2])
+    for position, first in enumerate(ranked):
+        for second in ranked[position + 1:]:
+            if first[2] + second[2] + 1 > free:
+                break
+            if not first[1] & second[1]:
+                return True
+    return False
+
+
 def _new_cycle_lengths(adjacency, u: int, v: int, used: set[int]) -> list[int] | None:
     """Lengths of all cycles the chord {u, v} would add, one per simple u-v
     path already present; None as soon as a new length repeats one in
@@ -109,6 +141,24 @@ def _new_cycle_lengths(adjacency, u: int, v: int, used: set[int]) -> list[int] |
     return fresh
 
 
+def _two_chord_lengths(n: int, first: tuple[int, int],
+                       second: tuple[int, int]) -> tuple[int, ...]:
+    """Lengths of the cycles of the n-cycle that use both chords and no
+    other: two when the chords cross, one otherwise."""
+    (a, b), (c, d) = sorted((first, second))
+    if a == c:
+        return (2 + d - b,)
+    if b == d:
+        return (2 + c - a,)
+    if b == c:
+        return (2 + n - d + a,)
+    if d < b:
+        return (2 + c - a + b - d,)  # nested
+    if b < c:
+        return (2 + c - b + n - d + a,)  # side by side
+    return (2 + c - a + d - b, 2 + b - c + n - d + a)  # crossing
+
+
 def _first_fit_star(n: int) -> tuple[tuple[int, int], ...]:
     """Chords {1, a}, each anchor a = 3, 4, ... taken when the closed-form
     census stays repeat-free: a witness found without a single repeat test."""
@@ -130,7 +180,6 @@ def exact_g(n: int, budget: int = DEFAULT_NODE_BUDGET) -> ExactResult:
     test (``_new_cycle_lengths``), and ``budget`` caps the number of them.
     A run cut by the budget reports the larger of its incumbent and the
     first-fit star, which costs no repeat test.
-    n = 22 is exhaustive after 663 nodes.
 
     n is capped at 62 because the image tables are built before the node
     budget is first checked, in time growing like n^3 (on a shared 2-vCPU
@@ -146,6 +195,7 @@ def exact_g(n: int, budget: int = DEFAULT_NODE_BUDGET) -> ExactResult:
                   for u in range(1, n + 1)
                   for v in range(u + 1, n + 1)
                   if v - u != 1 and not (u == 1 and v == n)]
+    size = len(candidates)
     cap = chord_cap(n)
     images = _image_tables(candidates, dihedral_maps(n))
 
@@ -155,21 +205,27 @@ def exact_g(n: int, budget: int = DEFAULT_NODE_BUDGET) -> ExactResult:
         adjacency[v].append(u)
 
     used_lengths = {n}
+    used_mask = 1 << n  # used_lengths as a bit set
     chosen: list[int] = []  # candidate indices, ascending
     best: tuple[int, ...] = ()
     nodes = 0
     truncated = False
+    pair_masks: dict[int, int] = {}  # T(c, x) by c * size + x; 0 if it repeats
 
-    def walk(pool: list[int]) -> None:
-        nonlocal best, nodes, truncated
+    def walk(pool: list[tuple[int, int, int]]) -> None:
+        """pool: (candidate, K, |K|) in candidate order, K a bit set of
+        lengths the candidate is known to add here."""
+        nonlocal best, nodes, truncated, used_mask
         depth = len(chosen)
         free = n - 2 - len(used_lengths)  # lengths in 3..n-1 not yet used
         need = len(best) + 1 - depth  # chords still needed to beat the incumbent
         if need * (2 * depth + need + 3) > 2 * free:
             return  # a chord added to j chords closes at least j + 2 cycles;
             # so a child of a node at the cap returns here, before any test
-        survivors = []
-        for index in pool:
+        if not _can_fit(pool, need, free):
+            return
+        survivors = []  # (candidate, fresh as a bit set, its size, fresh)
+        for index, _, _ in pool:
             nodes += 1
             if nodes > budget:
                 truncated = True
@@ -177,31 +233,49 @@ def exact_g(n: int, budget: int = DEFAULT_NODE_BUDGET) -> ExactResult:
             u, v = candidates[index]
             fresh = _new_cycle_lengths(adjacency, u, v, used_lengths)
             if fresh is not None:
-                survivors.append((index, fresh))
-        sizes = sorted(len(fresh) for _, fresh in survivors)
-        if len(sizes) < need or sum(sizes[:need]) + need * (need - 1) // 2 > free:
-            return  # each later chord also closes a cycle through each earlier one
-        for position, (index, fresh) in enumerate(survivors):
+                mask = 0
+                for length in fresh:
+                    mask |= 1 << length
+                survivors.append((index, mask, len(fresh), fresh))
+        if not _can_fit(survivors, need, free):
+            return
+        for position, (index, mask, _, fresh) in enumerate(survivors):
             if depth + len(survivors) - position <= len(best):
                 return
             if not _is_canonical(chosen + [index], images):
                 continue
+            # a later survivor keeps its fresh cycles and gains those through
+            # both chords; a repeat among them fails its test in the child
+            child_used = used_mask | mask
+            child_pool = []
+            for later, later_mask, later_size, _ in survivors[position + 1:]:
+                key = later * size + index
+                pair = pair_masks.get(key)
+                if pair is None:
+                    pair = 0
+                    for length in _two_chord_lengths(n, candidates[later], candidates[index]):
+                        pair = 0 if pair >> length & 1 else pair | 1 << length
+                    pair_masks[key] = pair
+                if pair and not (pair | later_mask) & child_used and not pair & later_mask:
+                    child_pool.append((later, later_mask | pair, later_size + pair.bit_count()))
             u, v = candidates[index]
             chosen.append(index)
             used_lengths.update(fresh)
+            used_mask = child_used
             adjacency[u].append(v)
             adjacency[v].append(u)
             if len(chosen) > len(best):
                 best = tuple(chosen)
-            walk([later for later, _ in survivors[position + 1:]])
+            walk(child_pool)
             adjacency[u].remove(v)
             adjacency[v].remove(u)
+            used_mask ^= mask
             used_lengths.difference_update(fresh)
             chosen.pop()
             if truncated or len(best) == cap:
                 return
 
-    walk(list(range(len(candidates))))
+    walk([(index, 0, 0) for index in range(size)])
     star = _first_fit_star(n) if truncated else ()
     # max keeps the search's own set on a tie
     chords = max(tuple(candidates[index] for index in best), star, key=len)

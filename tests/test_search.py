@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -13,7 +14,8 @@ from cyclespec.graphs import ChordedCycleGraph
 # maximum edge counts; n <= 9 re-derived below by a naive sweep
 KNOWN_G = {3: 3, 4: 4, 5: 6, 6: 7, 7: 8, 8: 10, 9: 11, 10: 12, 11: 13, 12: 14}
 # exact values beyond the golden CLI grid, with their least witnesses
-LARGE_G = {19: (23, ((1, 3), (1, 6), (1, 12), (1, 14))),
+LARGE_G = {18: (21, ((1, 3), (1, 5), (1, 9))),
+           19: (23, ((1, 3), (1, 6), (1, 12), (1, 14))),
            20: (24, ((1, 3), (1, 5), (1, 10), (1, 14))),
            21: (25, ((1, 3), (1, 6), (1, 13), (1, 15))),
            22: (26, ((1, 3), (1, 5), (1, 9), (1, 14)))}
@@ -166,6 +168,73 @@ class TestIncrementalLengths:
             if fresh is not None:
                 assert sorted(before + fresh) == after, (n, chords, (u, v))
             outcomes[repeats] += 1
+
+
+def _pair_kind(first, second):
+    (a, b), (c, d) = sorted((first, second))
+    if len({a, b, c, d}) == 3:
+        return "shared endpoint"
+    if a < c < b < d:
+        return "crossing"
+    return "nested" if d < b else "side by side"
+
+
+class TestForwardCheck:
+    """The closed-form two-chord lengths T(c, x) and the known set
+    K(c) = F(c) + T(c, x) that a child of the node adding x starts from."""
+
+    def test_two_chord_lengths_match_enumeration(self):
+        # the cycles through both chords are the pair's spectrum less each
+        # chord's own (the n-cycle is in all three, and T may contain n)
+        kinds = Counter()
+        for n in range(5, 15):
+            pool = _chord_pool(n)
+            alone = {chord: Counter(oracle.enumerate_cycles(ChordedCycleGraph(n, (chord,))))
+                     for chord in pool}
+            for first, second in itertools.combinations(pool, 2):
+                through_both = Counter(oracle.enumerate_cycles(ChordedCycleGraph(n, (first, second))))
+                through_both.subtract(alone[first])
+                through_both.subtract(alone[second])
+                through_both[n] += 1
+                assert min(through_both.values()) >= 0, (n, first, second)
+                expected = sorted(through_both.elements())
+                assert sorted(search._two_chord_lengths(n, first, second)) == expected
+                assert sorted(search._two_chord_lengths(n, second, first)) == expected
+                kinds[_pair_kind(first, second)] += 1
+        assert set(kinds) == {"shared endpoint", "crossing", "nested", "side by side"}
+
+    def test_known_lengths_bound_the_child_test(self):
+        # on a repeat-free graph with chords x and c both surviving, the child
+        # that adds x must find every length of K(c) when c survives there,
+        # and c must fail its test there whenever K(c) repeats or meets a
+        # length in use
+        rng = random.Random(4321)
+        outcomes = Counter()
+        while min(outcomes["dropped"], outcomes["survives"]) < 100:
+            n = rng.randrange(5, 15)
+            pool = _chord_pool(n)
+            chords = tuple(sorted(rng.sample(pool, rng.randrange(0, min(3, len(pool)) + 1))))
+            graph = ChordedCycleGraph(n, chords)
+            spectrum = oracle.enumerate_cycles(graph)
+            free = [e for e in pool if e not in chords]
+            if oracle.has_repeated_length(spectrum) is not None or len(free) < 2:
+                continue
+            used = set(spectrum)
+            x, c = rng.sample(free, 2)
+            fresh_x = search._new_cycle_lengths(_adjacency(graph), *x, used)
+            fresh_c = search._new_cycle_lengths(_adjacency(graph), *c, used)
+            if fresh_x is None or fresh_c is None:
+                continue
+            known = fresh_c + list(search._two_chord_lengths(n, c, x))
+            child_used = used | set(fresh_x)
+            child = ChordedCycleGraph(n, tuple(sorted(chords + (x,))))
+            found = search._new_cycle_lengths(_adjacency(child), *c, child_used)
+            if len(set(known)) < len(known) or child_used & set(known):
+                assert found is None, (n, chords, x, c)
+                outcomes["dropped"] += 1
+            elif found is not None:
+                assert set(known) <= set(found), (n, chords, x, c)
+                outcomes["survives"] += 1
 
 
 def _max_chords(n):
@@ -393,7 +462,7 @@ class TestSingleVertexChords:
     @pytest.mark.parametrize("n", range(4, 23))
     def test_star_is_the_least_maximum_witness(self, n):
         # observed, not proved: the exhaustive search's least witness is the
-        # single-vertex optimum for n = 4..24 (23 and 24 take seconds, so CI
+        # single-vertex optimum for n = 4..26 (23 to 26 take seconds, so CI
         # checks them outside these tests)
         assert search.exact_g(n).witness.chords == _star(n)
 
