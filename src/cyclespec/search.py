@@ -195,7 +195,6 @@ def exact_g(n: int, budget: int = DEFAULT_NODE_BUDGET) -> ExactResult:
                   for u in range(1, n + 1)
                   for v in range(u + 1, n + 1)
                   if v - u != 1 and not (u == 1 and v == n)]
-    size = len(candidates)
     cap = chord_cap(n)
     images = _image_tables(candidates, dihedral_maps(n))
 
@@ -210,7 +209,6 @@ def exact_g(n: int, budget: int = DEFAULT_NODE_BUDGET) -> ExactResult:
     best: tuple[int, ...] = ()
     nodes = 0
     truncated = False
-    pair_masks: dict[int, int] = {}  # T(c, x) by c * size + x; 0 if it repeats
 
     def walk(pool: list[tuple[int, int, int]]) -> None:
         """pool: (candidate, K, |K|) in candidate order, K a bit set of
@@ -249,13 +247,9 @@ def exact_g(n: int, budget: int = DEFAULT_NODE_BUDGET) -> ExactResult:
             child_used = used_mask | mask
             child_pool = []
             for later, later_mask, later_size, _ in survivors[position + 1:]:
-                key = later * size + index
-                pair = pair_masks.get(key)
-                if pair is None:
-                    pair = 0
-                    for length in _two_chord_lengths(n, candidates[later], candidates[index]):
-                        pair = 0 if pair >> length & 1 else pair | 1 << length
-                    pair_masks[key] = pair
+                pair = 0  # T(later, index) as a bit set, 0 if its two lengths coincide
+                for length in _two_chord_lengths(n, candidates[later], candidates[index]):
+                    pair = 0 if pair >> length & 1 else pair | 1 << length
                 if pair and not (pair | later_mask) & child_used and not pair & later_mask:
                     child_pool.append((later, later_mask | pair, later_size + pair.bit_count()))
             u, v = candidates[index]
@@ -275,7 +269,7 @@ def exact_g(n: int, budget: int = DEFAULT_NODE_BUDGET) -> ExactResult:
             if truncated or len(best) == cap:
                 return
 
-    walk([(index, 0, 0) for index in range(size)])
+    walk([(index, 0, 0) for index in range(len(candidates))])
     star = _first_fit_star(n) if truncated else ()
     # max keeps the search's own set on a tie
     chords = max(tuple(candidates[index] for index in best), star, key=len)
