@@ -91,24 +91,23 @@ def _is_canonical(trial: list[int], images: list[tuple[int, ...]]) -> bool:
 
 def _can_fit(pool: list[tuple], need: int, free: int) -> bool:
     """Whether ``need`` more chords from ``pool`` might fit in ``free``
-    lengths.  Each entry is (candidate, K, |K|, ...), K a bit set of lengths
-    the candidate is known to add.  Each later chord also closes a cycle
+    lengths.  The second item of each entry is K, a bit set of lengths the
+    candidate is known to add.  Each later chord also closes a cycle
     through each earlier one, so the need smallest |K| plus C(need, 2) must
     fit, and for two or more chords some pair with disjoint K sets must
     have |K_a| + |K_b| + 1 <= free."""
     if len(pool) < need:
         return False
-    sizes = sorted(entry[2] for entry in pool)
-    if sum(sizes[:need]) + need * (need - 1) // 2 > free:
+    ranked = sorted((entry[1].bit_count(), entry[1]) for entry in pool)
+    if sum(size for size, _ in ranked[:need]) + need * (need - 1) // 2 > free:
         return False
     if need < 2:
         return True
-    ranked = sorted(pool, key=lambda entry: entry[2])
-    for position, first in enumerate(ranked):
-        for second in ranked[position + 1:]:
-            if first[2] + second[2] + 1 > free:
+    for position, (size, known) in enumerate(ranked):
+        for other_size, other in ranked[position + 1:]:
+            if size + other_size + 1 > free:
                 break
-            if not first[1] & second[1]:
+            if not known & other:
                 return True
     return False
 
@@ -210,9 +209,9 @@ def exact_g(n: int, budget: int = DEFAULT_NODE_BUDGET) -> ExactResult:
     nodes = 0
     truncated = False
 
-    def walk(pool: list[tuple[int, int, int]]) -> None:
-        """pool: (candidate, K, |K|) in candidate order, K a bit set of
-        lengths the candidate is known to add here."""
+    def walk(pool: list[tuple[int, int]]) -> None:
+        """pool: (candidate, K) in candidate order, K a bit set of lengths
+        the candidate is known to add here."""
         nonlocal best, nodes, truncated, used_mask
         depth = len(chosen)
         free = n - 2 - len(used_lengths)  # lengths in 3..n-1 not yet used
@@ -222,8 +221,8 @@ def exact_g(n: int, budget: int = DEFAULT_NODE_BUDGET) -> ExactResult:
             # so a child of a node at the cap returns here, before any test
         if not _can_fit(pool, need, free):
             return
-        survivors = []  # (candidate, fresh as a bit set, its size, fresh)
-        for index, _, _ in pool:
+        survivors = []  # (candidate, fresh as a bit set, fresh)
+        for index, _ in pool:
             nodes += 1
             if nodes > budget:
                 truncated = True
@@ -234,10 +233,10 @@ def exact_g(n: int, budget: int = DEFAULT_NODE_BUDGET) -> ExactResult:
                 mask = 0
                 for length in fresh:
                     mask |= 1 << length
-                survivors.append((index, mask, len(fresh), fresh))
+                survivors.append((index, mask, fresh))
         if not _can_fit(survivors, need, free):
             return
-        for position, (index, mask, _, fresh) in enumerate(survivors):
+        for position, (index, mask, fresh) in enumerate(survivors):
             if depth + len(survivors) - position <= len(best):
                 return
             if not _is_canonical(chosen + [index], images):
@@ -246,12 +245,12 @@ def exact_g(n: int, budget: int = DEFAULT_NODE_BUDGET) -> ExactResult:
             # both chords; a repeat among them fails its test in the child
             child_used = used_mask | mask
             child_pool = []
-            for later, later_mask, later_size, _ in survivors[position + 1:]:
+            for later, later_mask, _ in survivors[position + 1:]:
                 pair = 0  # T(later, index) as a bit set, 0 if its two lengths coincide
                 for length in _two_chord_lengths(n, candidates[later], candidates[index]):
                     pair = 0 if pair >> length & 1 else pair | 1 << length
                 if pair and not (pair | later_mask) & child_used and not pair & later_mask:
-                    child_pool.append((later, later_mask | pair, later_size + pair.bit_count()))
+                    child_pool.append((later, later_mask | pair))
             u, v = candidates[index]
             chosen.append(index)
             used_lengths.update(fresh)
@@ -269,7 +268,7 @@ def exact_g(n: int, budget: int = DEFAULT_NODE_BUDGET) -> ExactResult:
             if truncated or len(best) == cap:
                 return
 
-    walk([(index, 0, 0) for index in range(len(candidates))])
+    walk([(index, 0) for index in range(len(candidates))])
     star = _first_fit_star(n) if truncated else ()
     # max keeps the search's own set on a tie
     chords = max(tuple(candidates[index] for index in best), star, key=len)
