@@ -89,16 +89,16 @@ def _is_canonical(trial: list[int], images: list[tuple[int, ...]]) -> bool:
     return True
 
 
-def _can_fit(pool: list[tuple], need: int, free: int) -> bool:
+def _can_fit(pool: list[tuple[int, int]], need: int, free: int) -> bool:
     """Whether ``need`` more chords from ``pool`` might fit in ``free``
-    lengths.  The second item of each entry is K, a bit set of lengths the
+    lengths.  Each entry is (candidate, K), K a bit set of lengths the
     candidate is known to add.  Each later chord also closes a cycle
     through each earlier one, so the need smallest |K| plus C(need, 2) must
     fit, and for two or more chords some pair with disjoint K sets must
     have |K_a| + |K_b| + 1 <= free."""
     if len(pool) < need:
         return False
-    ranked = sorted((entry[1].bit_count(), entry[1]) for entry in pool)
+    ranked = sorted((known.bit_count(), known) for _, known in pool)
     if sum(size for size, _ in ranked[:need]) + need * (need - 1) // 2 > free:
         return False
     if need < 2:
@@ -112,12 +112,11 @@ def _can_fit(pool: list[tuple], need: int, free: int) -> bool:
     return False
 
 
-def _new_cycle_lengths(adjacency, u: int, v: int, used: set[int]) -> list[int] | None:
+def _new_cycle_lengths(adjacency, u: int, v: int, used: int) -> int | None:
     """Lengths of all cycles the chord {u, v} would add, one per simple u-v
-    path already present; None as soon as a new length repeats one in
-    ``used`` or another new one."""
-    fresh: list[int] = []
-    fresh_set: set[int] = set()
+    path already present, as a bit set (bit L for length L); None as soon
+    as a new length repeats one in the bit set ``used`` or another new one."""
+    fresh = 0
     path = [u]
     on_path = {u}
     pending = [iter(adjacency[u])]
@@ -128,11 +127,10 @@ def _new_cycle_lengths(adjacency, u: int, v: int, used: set[int]) -> list[int] |
             on_path.discard(path.pop())
             continue
         if step == v:
-            length = len(path) + 1
-            if length in used or length in fresh_set:
+            bit = 1 << (len(path) + 1)
+            if (used | fresh) & bit:
                 return None
-            fresh_set.add(length)
-            fresh.append(length)
+            fresh |= bit
         elif step not in on_path:
             path.append(step)
             on_path.add(step)
@@ -202,8 +200,7 @@ def exact_g(n: int, budget: int = DEFAULT_NODE_BUDGET) -> ExactResult:
         adjacency[u].append(v)
         adjacency[v].append(u)
 
-    used_lengths = {n}
-    used_mask = 1 << n  # used_lengths as a bit set
+    used = 1 << n  # the cycle lengths in use, as a bit set
     chosen: list[int] = []  # candidate indices, ascending
     best: tuple[int, ...] = ()
     nodes = 0
@@ -212,49 +209,45 @@ def exact_g(n: int, budget: int = DEFAULT_NODE_BUDGET) -> ExactResult:
     def walk(pool: list[tuple[int, int]]) -> None:
         """pool: (candidate, K) in candidate order, K a bit set of lengths
         the candidate is known to add here."""
-        nonlocal best, nodes, truncated, used_mask
+        nonlocal best, nodes, truncated, used
         depth = len(chosen)
-        free = n - 2 - len(used_lengths)  # lengths in 3..n-1 not yet used
+        free = n - 2 - used.bit_count()  # lengths in 3..n-1 not yet used
         need = len(best) + 1 - depth  # chords still needed to beat the incumbent
         if need * (2 * depth + need + 3) > 2 * free:
             return  # a chord added to j chords closes at least j + 2 cycles;
             # so a child of a node at the cap returns here, before any test
         if not _can_fit(pool, need, free):
             return
-        survivors = []  # (candidate, fresh as a bit set, fresh)
+        survivors = []  # (candidate, its fresh lengths as a bit set)
         for index, _ in pool:
             nodes += 1
             if nodes > budget:
                 truncated = True
                 return
             u, v = candidates[index]
-            fresh = _new_cycle_lengths(adjacency, u, v, used_lengths)
+            fresh = _new_cycle_lengths(adjacency, u, v, used)
             if fresh is not None:
-                mask = 0
-                for length in fresh:
-                    mask |= 1 << length
-                survivors.append((index, mask, fresh))
+                survivors.append((index, fresh))
         if not _can_fit(survivors, need, free):
             return
-        for position, (index, mask, fresh) in enumerate(survivors):
+        for position, (index, fresh) in enumerate(survivors):
             if depth + len(survivors) - position <= len(best):
                 return
             if not _is_canonical(chosen + [index], images):
                 continue
             # a later survivor keeps its fresh cycles and gains those through
             # both chords; a repeat among them fails its test in the child
-            child_used = used_mask | mask
+            child_used = used | fresh
             child_pool = []
-            for later, later_mask, _ in survivors[position + 1:]:
+            for later, later_fresh in survivors[position + 1:]:
                 pair = 0  # T(later, index) as a bit set, 0 if its two lengths coincide
                 for length in _two_chord_lengths(n, candidates[later], candidates[index]):
                     pair = 0 if pair >> length & 1 else pair | 1 << length
-                if pair and not (pair | later_mask) & child_used and not pair & later_mask:
-                    child_pool.append((later, later_mask | pair))
+                if pair and not (pair | later_fresh) & child_used and not pair & later_fresh:
+                    child_pool.append((later, later_fresh | pair))
             u, v = candidates[index]
             chosen.append(index)
-            used_lengths.update(fresh)
-            used_mask = child_used
+            used = child_used
             adjacency[u].append(v)
             adjacency[v].append(u)
             if len(chosen) > len(best):
@@ -262,8 +255,7 @@ def exact_g(n: int, budget: int = DEFAULT_NODE_BUDGET) -> ExactResult:
             walk(child_pool)
             adjacency[u].remove(v)
             adjacency[v].remove(u)
-            used_mask ^= mask
-            used_lengths.difference_update(fresh)
+            used ^= fresh
             chosen.pop()
             if truncated or len(best) == cap:
                 return

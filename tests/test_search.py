@@ -38,6 +38,16 @@ def _adjacency(graph):
     return {v: tuple(sorted(ns)) for v, ns in neighbors.items()}
 
 
+def _bits(lengths):
+    """Distinct cycle lengths as the search's bit set (bit L for length L)."""
+    return sum(1 << length for length in set(lengths))
+
+
+def _lengths(bits):
+    """The ascending lengths in a bit set."""
+    return [length for length in range(bits.bit_length()) if bits >> length & 1]
+
+
 def _star(n):
     """The chords {1, a} on the single-vertex optimum's anchors."""
     return tuple((1, a) for a in search.max_single_vertex_chords(n)[1])
@@ -143,9 +153,9 @@ class TestIncrementalLengths:
 
     def test_single_chord_on_bare_cycle(self):
         adjacency = _adjacency(ChordedCycleGraph(7))
-        assert sorted(search._new_cycle_lengths(adjacency, 1, 3, {7})) == [3, 6]
-        assert sorted(search._new_cycle_lengths(adjacency, 2, 6, {7})) == [4, 5]
-        assert search._new_cycle_lengths(adjacency, 2, 6, {7, 4}) is None
+        assert _lengths(search._new_cycle_lengths(adjacency, 1, 3, _bits([7]))) == [3, 6]
+        assert _lengths(search._new_cycle_lengths(adjacency, 2, 6, _bits([7]))) == [4, 5]
+        assert search._new_cycle_lengths(adjacency, 2, 6, _bits([7, 4])) is None
 
     def test_matches_full_reenumeration(self):
         rng = random.Random(1234)
@@ -162,11 +172,11 @@ class TestIncrementalLengths:
             u, v = rng.choice(free)
             after = list(oracle.enumerate_cycles(
                 ChordedCycleGraph(n, tuple(sorted(chords + ((u, v),))))))
-            fresh = search._new_cycle_lengths(_adjacency(graph), u, v, set(before))
+            fresh = search._new_cycle_lengths(_adjacency(graph), u, v, _bits(before))
             repeats = oracle.has_repeated_length(after) is not None
             assert (fresh is None) == repeats, (n, chords, (u, v))
             if fresh is not None:
-                assert sorted(before + fresh) == after, (n, chords, (u, v))
+                assert sorted(before + _lengths(fresh)) == after, (n, chords, (u, v))
             outcomes[repeats] += 1
 
 
@@ -219,21 +229,21 @@ class TestForwardCheck:
             free = [e for e in pool if e not in chords]
             if oracle.has_repeated_length(spectrum) is not None or len(free) < 2:
                 continue
-            used = set(spectrum)
+            used = _bits(spectrum)
             x, c = rng.sample(free, 2)
             fresh_x = search._new_cycle_lengths(_adjacency(graph), *x, used)
             fresh_c = search._new_cycle_lengths(_adjacency(graph), *c, used)
             if fresh_x is None or fresh_c is None:
                 continue
-            known = fresh_c + list(search._two_chord_lengths(n, c, x))
-            child_used = used | set(fresh_x)
+            known = _lengths(fresh_c) + list(search._two_chord_lengths(n, c, x))
+            child_used = used | fresh_x
             child = ChordedCycleGraph(n, tuple(sorted(chords + (x,))))
             found = search._new_cycle_lengths(_adjacency(child), *c, child_used)
-            if len(set(known)) < len(known) or child_used & set(known):
+            if len(set(known)) < len(known) or child_used & _bits(known):
                 assert found is None, (n, chords, x, c)
                 outcomes["dropped"] += 1
             elif found is not None:
-                assert set(known) <= set(found), (n, chords, x, c)
+                assert set(known) <= set(_lengths(found)), (n, chords, x, c)
                 outcomes["survives"] += 1
 
 
@@ -257,13 +267,13 @@ def _plain_search(n):
     for u, v in ChordedCycleGraph(n).cycle_edges():
         adjacency[u].append(v)
         adjacency[v].append(u)
-    used = {n}
+    used = 1 << n  # bit set of the lengths in use
     chosen = []
     best = ()
     nodes = 0
 
     def walk(start):
-        nonlocal best, nodes
+        nonlocal best, nodes, used
         if len(chosen) == depth_cap:
             return
         for index in range(start, len(pool)):
@@ -275,7 +285,7 @@ def _plain_search(n):
             if fresh is None:
                 continue
             chosen.append(pool[index])
-            used.update(fresh)
+            used |= fresh
             adjacency[u].append(v)
             adjacency[v].append(u)
             if len(chosen) > len(best):
@@ -283,7 +293,7 @@ def _plain_search(n):
             walk(index + 1)
             adjacency[u].remove(v)
             adjacency[v].remove(u)
-            used.difference_update(fresh)
+            used ^= fresh
             chosen.pop()
 
     walk(0)
