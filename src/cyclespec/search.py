@@ -9,8 +9,7 @@ least j + 2 cycles (its two arcs, and a path through each chosen chord
 using no other), all of distinct lengths in 3..n-1, so k chords need
 k(k + 3)/2 <= n - 3.  Only subsets least in their orbit under the 2n
 dihedral relabelings are expanded (minimality is hereditary under removal
-of the largest chord).  Chords are indices into the lexicographic
-candidate list, and each relabeling a table of image indices.
+of the largest chord).
 
 Forward check: a survivor c handed to the child that adds chord x keeps
 the cycles its test found, F(c), and gains the one or two cycles through
@@ -18,7 +17,8 @@ c and x alone, whose lengths T(c, x) are arithmetic in the four
 endpoints.  So before its own test, c is known to add K(c) = F(c) + T(c, x).
 The child drops c when K(c) repeats a length or meets one in use (its
 test would fail), and is cut before any test when the K sets show that
-the chords it still needs cannot fit in the free lengths.
+the chords it still needs cannot fit in the free lengths.  With one chord
+chosen, K(c) is all that c would add, so depth 1 runs no walk.
 """
 
 from __future__ import annotations
@@ -55,41 +55,30 @@ def chord_cap(n: int) -> int:
     return (math.isqrt(8 * n - 15) - 3) // 2
 
 
-def dihedral_maps(n: int) -> list[tuple[int, ...]]:
-    """The 2n rotation/reflection relabelings, as lookup tables indexed by vertex."""
-    maps = []
-    for shift in range(n):
-        rotation = [0] * (n + 1)
-        reflection = [0] * (n + 1)
-        for v in range(1, n + 1):
-            rotation[v] = (v - 1 + shift) % n + 1
-            reflection[v] = (shift - (v - 1)) % n + 1
-        maps.append(tuple(rotation))
-        maps.append(tuple(reflection))
-    return maps
-
-
-def _image_tables(candidates: list[tuple[int, int]],
-                  maps: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """For each non-identity map (maps[0] is the identity), the candidate
-    index of the image of each candidate chord."""
-    position = {pair: index for index, pair in enumerate(candidates)}
-    return [tuple(position[min(mapping[u], mapping[v]), max(mapping[u], mapping[v])]
-                  for u, v in candidates)
-            for mapping in maps[1:]]
-
-
-def _is_canonical(trial: list[int], images: list[tuple[int, ...]]) -> bool:
-    """Whether the ascending candidate indices ``trial`` are least in their
-    orbit.  Candidates are in lexicographic order, so comparing sorted index
-    lists compares the sorted chord lists."""
-    for table in images:
-        if sorted([table[index] for index in trial]) < trial:
-            return False
+def _is_canonical(n: int, chords: list[tuple[int, int]]) -> bool:
+    """Whether the ascending ``chords`` are least in their orbit under the 2n
+    rotations and reflections.  With d the least cyclic span of a chord, the
+    least image starts with (1, 1 + d), and only a relabeling taking a chord
+    of span d onto it can reach that: a rotation and a reflection for each
+    direction in which the chord spans d."""
+    span = min(min(v - u, n - v + u) for u, v in chords)
+    if chords[0] != (1, 1 + span):
+        return False
+    for u, v in chords:
+        for start, end in ((u, v), (v, u)):
+            if (end - start) % n != span:
+                continue
+            for sign, offset in ((1, -start), (-1, end)):  # start -> 1, end -> 1 + span
+                image = []
+                for a, b in chords:
+                    a, b = (sign * a + offset) % n + 1, (sign * b + offset) % n + 1
+                    image.append((a, b) if a < b else (b, a))
+                if sorted(image) < chords:
+                    return False
     return True
 
 
-def _can_fit(pool: list[tuple[int, int]], need: int, free: int) -> bool:
+def _can_fit(pool: list[tuple[tuple[int, int], int]], need: int, free: int) -> bool:
     """Whether ``need`` more chords from ``pool`` might fit in ``free``
     lengths.  Each entry is (candidate, K), K a bit set of lengths the
     candidate is known to add.  Each later chord also closes a cycle
@@ -112,29 +101,42 @@ def _can_fit(pool: list[tuple[int, int]], need: int, free: int) -> bool:
     return False
 
 
-def _new_cycle_lengths(adjacency, u: int, v: int, used: int) -> int | None:
-    """Lengths of all cycles the chord {u, v} would add, one per simple u-v
-    path already present, as a bit set (bit L for length L); None as soon
-    as a new length repeats one in the bit set ``used`` or another new one."""
+def _new_cycle_lengths(n: int, partners: dict[int, list[int]], u: int, v: int,
+                       used: int) -> int | None:
+    """Lengths of all cycles the chord {u, v} would add to the n-cycle plus
+    the chords in ``partners`` (each chord endpoint's chord neighbours), one
+    per simple u-v path, as a bit set (bit L for length L); None as soon as
+    a new length repeats one in the bit set ``used`` or another new one.
+
+    The paths are walked on the cycle contracted to u, v and the chord
+    endpoints: each arc between two consecutive points is one edge weighted
+    by its length, and a chord joining them is a parallel edge of weight 1."""
+    points = sorted(partners.keys() | {u, v})
+    around = {point: [(before, (point - before) % n), (after, (after - point) % n)]
+                     + [(other, 1) for other in partners.get(point, ())]
+              for before, point, after in zip(points[-1:] + points[:-1], points,
+                                              points[1:] + points[:1])}
     fresh = 0
     path = [u]
-    on_path = {u}
-    pending = [iter(adjacency[u])]
+    totals = [1]  # edges up to each point on the path, counting the chord {u, v}
+    pending = [iter(around[u])]
     while pending:
         step = next(pending[-1], None)
         if step is None:
             pending.pop()
-            on_path.discard(path.pop())
+            path.pop()
+            totals.pop()
             continue
-        if step == v:
-            bit = 1 << (len(path) + 1)
+        point, weight = step
+        if point == v:
+            bit = 1 << (totals[-1] + weight)
             if (used | fresh) & bit:
                 return None
             fresh |= bit
-        elif step not in on_path:
-            path.append(step)
-            on_path.add(step)
-            pending.append(iter(adjacency[step]))
+        elif point not in path:
+            path.append(point)
+            totals.append(totals[-1] + weight)
+            pending.append(iter(around[point]))
     return fresh
 
 
@@ -156,6 +158,22 @@ def _two_chord_lengths(n: int, first: tuple[int, int],
     return (2 + c - a + d - b, 2 + b - c + n - d + a)  # crossing
 
 
+def _child_pool(n: int, chord: tuple[int, int], used: int,
+                later: list[tuple[tuple[int, int], int]]) -> list[tuple[tuple[int, int], int]]:
+    """The forward check: the pool of the child that adds ``chord``, with
+    the lengths ``used`` in use, from the (candidate, fresh) survivors after
+    it.  A candidate keeps its fresh lengths and gains T(candidate, chord);
+    it is dropped when these repeat or meet a used length (its test fails)."""
+    pool = []
+    for candidate, fresh in later:
+        pair = 0  # T as a bit set, 0 if its two lengths coincide
+        for length in _two_chord_lengths(n, candidate, chord):
+            pair = 0 if pair >> length & 1 else pair | 1 << length
+        if pair and not (pair | fresh) & used and not pair & fresh:
+            pool.append((candidate, fresh | pair))
+    return pool
+
+
 def _first_fit_star(n: int) -> tuple[tuple[int, int], ...]:
     """Chords {1, a}, each anchor a = 3, 4, ... taken when the closed-form
     census stays repeat-free: a witness found without a single repeat test."""
@@ -173,42 +191,32 @@ def exact_g(n: int, budget: int = DEFAULT_NODE_BUDGET) -> ExactResult:
 
     Depth-first over chord subsets in lexicographic order; the first
     witness of each size found is therefore the least one, since the bounds
-    only cut subtrees that cannot beat the incumbent.  A node is one repeat
-    test (``_new_cycle_lengths``), and ``budget`` caps the number of them.
+    only cut subtrees that cannot beat the incumbent.  Each candidate
+    tried counts as one node, whether by a repeat test
+    (``_new_cycle_lengths``) or, at depth 1, by its known lengths, and
+    ``budget`` caps the number of nodes.
     A run cut by the budget reports the larger of its incumbent and the
     first-fit star, which costs no repeat test.
 
-    n is capped at 62 because the image tables are built before the node
-    budget is first checked, in time growing like n^3 (on a shared 2-vCPU
-    host, about 0.2 s at n = 62, 1.5 s at n = 120 and 8 s at n = 200).
-    Without the cap, ``exact-g 1000 --budget 1`` would hang.
+    n is capped at 62, though the set-up before the first budget check is
+    only the O(n^2) candidate pool: uncapped, ``budget=1`` took 3 ms at
+    n = 62 and 19 ms at n = 200 on a shared 2-vCPU host.
     """
     if budget < 1:
         raise ValueError("budget must be positive")
     if not 3 <= n <= 62:
         raise ValueError("n must lie in 3..62")
 
-    candidates = [(u, v)
-                  for u in range(1, n + 1)
-                  for v in range(u + 1, n + 1)
-                  if v - u != 1 and not (u == 1 and v == n)]
     cap = chord_cap(n)
-    images = _image_tables(candidates, dihedral_maps(n))
-
-    adjacency: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
-    for u, v in ChordedCycleGraph(n).cycle_edges():
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-
     used = 1 << n  # the cycle lengths in use, as a bit set
-    chosen: list[int] = []  # candidate indices, ascending
-    best: tuple[int, ...] = ()
+    chosen: list[tuple[int, int]] = []  # ascending
+    best: tuple[tuple[int, int], ...] = ()
     nodes = 0
     truncated = False
 
-    def walk(pool: list[tuple[int, int]]) -> None:
-        """pool: (candidate, K) in candidate order, K a bit set of lengths
-        the candidate is known to add here."""
+    def walk(pool: list[tuple[tuple[int, int], int]]) -> None:
+        """pool: (chord, K) in lexicographic order, K a bit set of lengths
+        the chord is known to add here."""
         nonlocal best, nodes, truncated, used
         depth = len(chosen)
         free = n - 2 - used.bit_count()  # lengths in 3..n-1 not yet used
@@ -218,52 +226,43 @@ def exact_g(n: int, budget: int = DEFAULT_NODE_BUDGET) -> ExactResult:
             # so a child of a node at the cap returns here, before any test
         if not _can_fit(pool, need, free):
             return
-        survivors = []  # (candidate, its fresh lengths as a bit set)
-        for index, _ in pool:
+        partners: dict[int, list[int]] = {}  # each chord endpoint's chord neighbours
+        for u, v in chosen:
+            partners.setdefault(u, []).append(v)
+            partners.setdefault(v, []).append(u)
+        survivors = []  # (chord, its fresh lengths as a bit set)
+        for chord, known in pool:
             nodes += 1
             if nodes > budget:
                 truncated = True
                 return
-            u, v = candidates[index]
-            fresh = _new_cycle_lengths(adjacency, u, v, used)
+            # beside one chord x, a candidate's cycles avoid x or use x alone,
+            # so K is exactly what its test would find
+            fresh = known if depth == 1 else _new_cycle_lengths(n, partners, *chord, used)
             if fresh is not None:
-                survivors.append((index, fresh))
+                survivors.append((chord, fresh))
         if not _can_fit(survivors, need, free):
             return
-        for position, (index, fresh) in enumerate(survivors):
+        for position, (chord, fresh) in enumerate(survivors):
             if depth + len(survivors) - position <= len(best):
                 return
-            if not _is_canonical(chosen + [index], images):
+            if not _is_canonical(n, chosen + [chord]):
                 continue
-            # a later survivor keeps its fresh cycles and gains those through
-            # both chords; a repeat among them fails its test in the child
-            child_used = used | fresh
-            child_pool = []
-            for later, later_fresh in survivors[position + 1:]:
-                pair = 0  # T(later, index) as a bit set, 0 if its two lengths coincide
-                for length in _two_chord_lengths(n, candidates[later], candidates[index]):
-                    pair = 0 if pair >> length & 1 else pair | 1 << length
-                if pair and not (pair | later_fresh) & child_used and not pair & later_fresh:
-                    child_pool.append((later, later_fresh | pair))
-            u, v = candidates[index]
-            chosen.append(index)
-            used = child_used
-            adjacency[u].append(v)
-            adjacency[v].append(u)
+            chosen.append(chord)
+            used |= fresh
             if len(chosen) > len(best):
                 best = tuple(chosen)
-            walk(child_pool)
-            adjacency[u].remove(v)
-            adjacency[v].remove(u)
+            walk(_child_pool(n, chord, used, survivors[position + 1:]))
             used ^= fresh
             chosen.pop()
             if truncated or len(best) == cap:
                 return
 
-    walk([(index, 0) for index in range(len(candidates))])
+    walk([((u, v), 0) for u in range(1, n + 1) for v in range(u + 2, n + 1)
+          if (u, v) != (1, n)])
     star = _first_fit_star(n) if truncated else ()
     # max keeps the search's own set on a tie
-    chords = max(tuple(candidates[index] for index in best), star, key=len)
+    chords = max(best, star, key=len)
     witness = ChordedCycleGraph(n, chords)
     spectrum = oracle.enumerate_cycles(witness)
     if oracle.has_repeated_length(spectrum) is not None:

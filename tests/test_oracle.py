@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from cyclespec import graphs, oracle, search, singer
+from cyclespec import graphs, oracle, singer
 from cyclespec.graphs import ChordedCycleGraph
+from test_search import dihedral_maps
 
 
 class TestEnumerate:
@@ -223,7 +224,7 @@ class TestCrossingPairs:
                     if v - u != 1 and (u, v) != (1, n)]
             graph = ChordedCycleGraph(n, tuple(sorted(rng.sample(pool, 3))))
             baseline = oracle.crossing_pairs(graph)
-            for mapping in search.dihedral_maps(n):
+            for mapping in dihedral_maps(n):
                 moved = ChordedCycleGraph(n, tuple((mapping[u], mapping[v]) for u, v in graph.chords))
                 assert oracle.crossing_pairs(moved) == baseline
 

@@ -29,6 +29,30 @@ def _relabel(graph, mapping):
     return ChordedCycleGraph(graph.n, tuple((mapping[u], mapping[v]) for u, v in graph.chords))
 
 
+def dihedral_maps(n):
+    """The 2n rotation/reflection relabelings, as lookup tables indexed by
+    vertex; the identity comes first."""
+    maps = []
+    for shift in range(n):
+        rotation = [0] * (n + 1)
+        reflection = [0] * (n + 1)
+        for v in range(1, n + 1):
+            rotation[v] = (v - 1 + shift) % n + 1
+            reflection[v] = (shift - (v - 1)) % n + 1
+        maps.append(tuple(rotation))
+        maps.append(tuple(reflection))
+    return maps
+
+
+def _partners(chords):
+    """Each chord endpoint's chord neighbours, as ``exact_g`` keeps them."""
+    partners = {}
+    for u, v in chords:
+        partners.setdefault(u, []).append(v)
+        partners.setdefault(v, []).append(u)
+    return partners
+
+
 def _adjacency(graph):
     """Sorted neighbour tuple of every vertex of a chorded cycle graph."""
     neighbors = {v: set() for v in range(1, graph.n + 1)}
@@ -92,7 +116,7 @@ class TestHelpers:
 
     def test_dihedral_maps_are_cycle_symmetries(self):
         for n in (3, 5, 8):
-            maps = search.dihedral_maps(n)
+            maps = dihedral_maps(n)
             assert len(maps) == 2 * n
             cycle = {frozenset(e) for e in ChordedCycleGraph(n).cycle_edges()}
             for mapping in maps:
@@ -102,14 +126,14 @@ class TestHelpers:
     def test_relabel_preserves_spectrum(self):
         graph = ChordedCycleGraph(9, ((1, 4), (2, 7)))
         spectrum = oracle.enumerate_cycles(graph)
-        for mapping in search.dihedral_maps(9):
+        for mapping in dihedral_maps(9):
             moved = _relabel(graph, mapping)
             assert oracle.enumerate_cycles(moved) == spectrum
 
 
 def _pair_canonical(chords, maps):
-    """The pair-sorting orbit test the search used before image tables:
-    chords (sorted pairs) are least among their images under every map."""
+    """The reference orbit test: chords (sorted pairs) are least among their
+    images under every one of the 2n maps."""
     for mapping in maps:
         image = sorted((min(mapping[u], mapping[v]), max(mapping[u], mapping[v]))
                        for u, v in chords)
@@ -118,25 +142,57 @@ def _pair_canonical(chords, maps):
     return True
 
 
+def _vertex_new_cycle_lengths(adjacency, u, v, used):
+    """The reference repeat test, walking the graph one vertex at a time:
+    the lengths of the cycles the chord {u, v} would add, one per simple
+    u-v path, as a bit set; None as soon as a new length repeats one in the
+    bit set ``used`` or another new one."""
+    fresh = 0
+    path = [u]
+    on_path = {u}
+    pending = [iter(adjacency[u])]
+    while pending:
+        step = next(pending[-1], None)
+        if step is None:
+            pending.pop()
+            on_path.discard(path.pop())
+            continue
+        if step == v:
+            bit = 1 << (len(path) + 1)
+            if (used | fresh) & bit:
+                return None
+            fresh |= bit
+        elif step not in on_path:
+            path.append(step)
+            on_path.add(step)
+            pending.append(iter(adjacency[step]))
+    return fresh
+
+
 def _assert_same_canonicity(n, subsets):
+    """The search's orbit test agrees with the reference on non-empty
+    subsets of the chord pool, given as ascending indices; returns how many
+    were canonical."""
     pool = _chord_pool(n)
-    maps = search.dihedral_maps(n)
-    images = search._image_tables(pool, maps)
+    maps = dihedral_maps(n)
+    canonical = 0
     for subset in subsets:
         chords = tuple(pool[index] for index in subset)
-        assert search._is_canonical(list(subset), images) == \
-            _pair_canonical(chords, maps), (n, chords)
+        expected = _pair_canonical(chords, maps)
+        assert search._is_canonical(n, list(chords)) == expected, (n, chords)
+        canonical += expected
+    return canonical
 
 
 class TestCanonicity:
     def test_identity_comes_first(self):
         for n in (3, 5, 8):
-            assert search.dihedral_maps(n)[0] == tuple(range(n + 1))
+            assert dihedral_maps(n)[0] == tuple(range(n + 1))
 
     @pytest.mark.parametrize("n", range(5, 12))
     def test_tables_match_pair_sorting_on_small_subsets(self, n):
         size = len(_chord_pool(n))
-        _assert_same_canonicity(n, (subset for k in range(4)
+        _assert_same_canonicity(n, (subset for k in range(1, 4)
                                     for subset in itertools.combinations(range(size), k)))
 
     @pytest.mark.parametrize("n", range(8, 18))
@@ -146,16 +202,33 @@ class TestCanonicity:
         _assert_same_canonicity(n, (sorted(rng.sample(range(size), rng.choice((4, 5))))
                                     for _ in range(2000)))
 
+    @pytest.mark.parametrize("n", range(6, 21, 2))
+    def test_half_span_chords_match_pair_sorting(self, n):
+        # a chord of span n/2 spans it both ways round, so four relabelings
+        # take it onto (1, 1 + n/2): sets of such chords alone, and sets
+        # where one sits beside shorter chords
+        pool = _chord_pool(n)
+        halves = [index for index, (u, v) in enumerate(pool) if 2 * (v - u) == n]
+        assert len(halves) == n // 2
+        alone = [subset for k in range(1, 5) for subset in itertools.combinations(halves, k)]
+        assert 0 < _assert_same_canonicity(n, alone) < len(alone)
+        rng = random.Random(n)
+        mixed = [sorted({rng.choice(halves)}
+                        | set(rng.sample(range(len(pool)), rng.randrange(1, 4))))
+                 for _ in range(500)]
+        assert _assert_same_canonicity(n, mixed) > 0
+
 
 class TestIncrementalLengths:
-    """``_new_cycle_lengths`` as the search calls it: on a repeat-free graph,
-    with the graph's spectrum as the lengths already used."""
+    """``_new_cycle_lengths`` on the contracted cycle, against the
+    vertex-by-vertex reference and against full re-enumeration."""
 
     def test_single_chord_on_bare_cycle(self):
-        adjacency = _adjacency(ChordedCycleGraph(7))
-        assert _lengths(search._new_cycle_lengths(adjacency, 1, 3, _bits([7]))) == [3, 6]
-        assert _lengths(search._new_cycle_lengths(adjacency, 2, 6, _bits([7]))) == [4, 5]
-        assert search._new_cycle_lengths(adjacency, 2, 6, _bits([7, 4])) is None
+        assert _lengths(search._new_cycle_lengths(7, {}, 1, 3, _bits([7]))) == [3, 6]
+        assert _lengths(search._new_cycle_lengths(7, {}, 2, 6, _bits([7]))) == [4, 5]
+        assert search._new_cycle_lengths(7, {}, 2, 6, _bits([7, 4])) is None
+        # two arcs of equal length are two parallel edges, and repeat
+        assert search._new_cycle_lengths(8, {}, 2, 6, _bits([8])) is None
 
     def test_matches_full_reenumeration(self):
         rng = random.Random(1234)
@@ -172,12 +245,54 @@ class TestIncrementalLengths:
             u, v = rng.choice(free)
             after = list(oracle.enumerate_cycles(
                 ChordedCycleGraph(n, tuple(sorted(chords + ((u, v),))))))
-            fresh = search._new_cycle_lengths(_adjacency(graph), u, v, _bits(before))
+            fresh = search._new_cycle_lengths(n, _partners(chords), u, v, _bits(before))
             repeats = oracle.has_repeated_length(after) is not None
             assert (fresh is None) == repeats, (n, chords, (u, v))
             if fresh is not None:
                 assert sorted(before + _lengths(fresh)) == after, (n, chords, (u, v))
             outcomes[repeats] += 1
+
+    def test_contracted_walk_matches_vertex_walk_and_oracle(self):
+        # any chord set, repeat-free or not, and any lengths in use: the new
+        # chord's lengths are the spectrum it adds, the multiset difference
+        # of the two enumerations, and the test fails exactly when they
+        # repeat or meet a used length
+        rng = random.Random(3041)
+        seen = Counter()
+        for n in range(5, 41):
+            pool = _chord_pool(n)
+            for _ in range(12):
+                chords = sorted(rng.sample(pool, rng.randrange(0, min(6, len(pool) - 1) + 1)))
+                ends = sorted({end for chord in chords for end in chord})
+                free = [chord for chord in pool if chord not in chords]
+                if ends and rng.random() < 0.5:  # start at a chord endpoint
+                    start = rng.choice(ends)
+                    free = [chord for chord in free if start in chord] or free
+                u, v = rng.choice(free)
+                graph = ChordedCycleGraph(n, tuple(chords))
+                added = Counter(oracle.enumerate_cycles(
+                    ChordedCycleGraph(n, tuple(sorted(chords + [(u, v)])))))
+                added.subtract(oracle.enumerate_cycles(graph))
+                assert min(added.values()) >= 0
+                new = sorted(added.elements())
+                used = rng.choice((_bits([n]), _bits(oracle.enumerate_cycles(graph)),
+                                   _bits([n, rng.choice(new)])))
+                expected = (None if len(set(new)) < len(new) or used & _bits(new)
+                            else _bits(new))
+                found = search._new_cycle_lengths(n, _partners(chords), u, v, used)
+                assert found == expected, (n, chords, (u, v), _lengths(used))
+                assert found == _vertex_new_cycle_lengths(_adjacency(graph), u, v, used)
+                points = sorted(set(ends) | {u, v})
+                neighbours = set(zip(points, points[1:])) | {(points[0], points[-1])}
+                seen["repeats" if found is None else "fresh"] += 1
+                seen["no chord"] += not chords
+                seen["shared endpoint"] += len(ends) < 2 * len(chords)
+                seen["parallel edge"] += bool(neighbours & set(chords))
+                seen["u or v a chord endpoint"] += u in ends or v in ends
+                seen["used meets a new length"] += bool(used & _bits(new))
+                seen["six chords"] += len(chords) == 6
+        assert min(seen.values()) >= 20, seen
+        assert len(seen) == 8, seen
 
 
 def _pair_kind(first, second):
@@ -231,20 +346,41 @@ class TestForwardCheck:
                 continue
             used = _bits(spectrum)
             x, c = rng.sample(free, 2)
-            fresh_x = search._new_cycle_lengths(_adjacency(graph), *x, used)
-            fresh_c = search._new_cycle_lengths(_adjacency(graph), *c, used)
+            fresh_x = search._new_cycle_lengths(n, _partners(chords), *x, used)
+            fresh_c = search._new_cycle_lengths(n, _partners(chords), *c, used)
             if fresh_x is None or fresh_c is None:
                 continue
             known = _lengths(fresh_c) + list(search._two_chord_lengths(n, c, x))
             child_used = used | fresh_x
-            child = ChordedCycleGraph(n, tuple(sorted(chords + (x,))))
-            found = search._new_cycle_lengths(_adjacency(child), *c, child_used)
+            found = search._new_cycle_lengths(n, _partners(chords + (x,)), *c, child_used)
             if len(set(known)) < len(known) or child_used & _bits(known):
                 assert found is None, (n, chords, x, c)
                 outcomes["dropped"] += 1
             elif found is not None:
                 assert set(known) <= set(_lengths(found)), (n, chords, x, c)
                 outcomes["survives"] += 1
+
+    @pytest.mark.parametrize("n", range(5, 17))
+    def test_known_lengths_are_exact_at_depth_one(self, n):
+        # beside one chord x, a candidate c closes only its two arcs and
+        # the cycles through c and x, so the child of x needs no repeat
+        # test: it keeps c exactly when the test on cycle + x passes, with
+        # K(c) as the lengths that test finds
+        bare = _bits([n])
+        roots = [(chord, search._new_cycle_lengths(n, {}, *chord, bare))
+                 for chord in _chord_pool(n)]
+        roots = [(chord, fresh) for chord, fresh in roots if fresh is not None]
+        outcomes = Counter()
+        for x, fresh_x in roots:
+            used = bare | fresh_x
+            known = dict(search._child_pool(n, x, used, [root for root in roots if root[0] != x]))
+            for c, _ in roots:
+                if c != x:
+                    found = search._new_cycle_lengths(n, _partners([x]), *c, used)
+                    assert known.get(c) == found, (n, x, c)
+                    outcomes[found is None] += 1
+        assert outcomes[True]
+        assert bool(outcomes[False]) == (n >= 8)  # two chords fit from n = 8 on
 
 
 def _max_chords(n):
@@ -281,7 +417,7 @@ def _plain_search(n):
                 return
             nodes += 1
             u, v = pool[index]
-            fresh = search._new_cycle_lengths(adjacency, u, v, used)
+            fresh = _vertex_new_cycle_lengths(adjacency, u, v, used)
             if fresh is None:
                 continue
             chosen.append(pool[index])
@@ -472,8 +608,8 @@ class TestSingleVertexChords:
     @pytest.mark.parametrize("n", range(4, 23))
     def test_star_is_the_least_maximum_witness(self, n):
         # observed, not proved: the exhaustive search's least witness is the
-        # single-vertex optimum for n = 4..26 (23 to 26 take seconds, so CI
-        # checks them outside these tests)
+        # single-vertex optimum for n = 4..30 (23 to 30 take up to about
+        # 20 s, so CI checks them outside these tests)
         assert search.exact_g(n).witness.chords == _star(n)
 
     def test_input_validation(self):
