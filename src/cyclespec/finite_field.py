@@ -140,20 +140,16 @@ def tables(field: Extension) -> Field:
                  [[index[multiply(field, a, b)] for b in elements] for a in elements])
 
 
-def element_order(field: Extension, a) -> int:
-    """Order of a nonzero element: divide primes out of |F| - 1 while a^order stays 1."""
-    if not any(a):
-        raise ValueError("zero has no multiplicative order")
-    order = field.order - 1
-    for prime, _ in factorize(order):
-        while order % prime == 0 and power(field, a, order // prime) == element(field, 1):
-            order //= prime
-    return order
-
-
 def find_primitive(field: Extension) -> int:
-    """Index of the first element in canonical order that generates the unit group."""
+    """Index of the first element in canonical order that generates the unit group.
+
+    A nonzero a generates it iff a^((|F| - 1) / r) != 1 for every prime r
+    dividing |F| - 1, so |F| - 1 is factored once, for all candidates.
+    """
+    one = element(field, 1)
+    cofactors = [(field.order - 1) // prime for prime, _ in factorize(field.order - 1)]
     for index in range(1, field.order):
-        if element_order(field, element(field, index)) == field.order - 1:
+        a = element(field, index)
+        if all(power(field, a, cofactor) != one for cofactor in cofactors):
             return index
     raise AssertionError("unit groups of finite fields are cyclic")

@@ -272,43 +272,3 @@ def exact_g(n: int, budget: int = DEFAULT_NODE_BUDGET) -> ExactResult:
                        witness=witness,
                        nodes_explored=nodes,
                        exhaustive=not truncated)
-
-
-def max_single_vertex_chords(n: int) -> tuple[int, tuple[int, ...]]:
-    """Largest anchor set with all predicted cycle lengths distinct, and the
-    lexicographically first witness of that size.
-
-    Anchors tried in increasing order; each new anchor a contributes lengths
-    a, n + 2 - a, and a - s + 2 per earlier anchor s, all of which must be
-    fresh.  The maximum grows like the largest Sidon set in {3..n-1}.
-    """
-    if n < 4:
-        raise ValueError("need n >= 4")
-    best: tuple[int, ...] = ()
-    chosen: list[int] = []
-    used = {n}
-
-    def walk(lowest: int) -> None:
-        nonlocal best
-        if len(chosen) > len(best):
-            best = tuple(chosen)
-        for anchor in range(lowest, n):
-            if len(chosen) + (n - anchor) <= len(best):
-                return
-            fresh = []
-            ok = True
-            for length in [anchor, n + 2 - anchor] + [anchor - s + 2 for s in chosen]:
-                if length in used or length in fresh:
-                    ok = False
-                    break
-                fresh.append(length)
-            if not ok:
-                continue
-            chosen.append(anchor)
-            used.update(fresh)
-            walk(anchor + 1)
-            used.difference_update(fresh)
-            chosen.pop()
-
-    walk(3)
-    return len(best), best

@@ -41,6 +41,24 @@ CANONICAL = {
 }
 
 
+def element_order(field, a):
+    """Reference: the order of a nonzero element, by dividing primes out of
+    |F| - 1 while a to that power stays 1 (factoring |F| - 1 on every call)."""
+    if not any(a):
+        raise ValueError("zero has no multiplicative order")
+    order = field.order - 1
+    for prime, _ in ff.factorize(order):
+        while order % prime == 0 and ff.power(field, a, order // prime) == ff.element(field, 1):
+            order //= prime
+    return order
+
+
+def reference_primitive(field):
+    """The first canonical index of full order, found by ``element_order``."""
+    return next(index for index in range(1, field.order)
+                if element_order(field, ff.element(field, index)) == field.order - 1)
+
+
 def _index(coords, base):
     return sum(c * base ** i for i, c in enumerate(coords))
 
@@ -124,14 +142,14 @@ class TestInversesAndOrders:
     def test_zero_has_no_inverse(self):
         assert 1 not in GF7.mul[0]
         with pytest.raises(ValueError):
-            ff.element_order(_extension(2, 3), (0, 0, 0))
+            element_order(_extension(2, 3), (0, 0, 0))
 
     def test_orders_mod_seven(self):
         # GF(7)[x]/(x) is GF(7) itself, with elements as 1-tuples
         field = ff.extend(GF7, (0, 1))
-        assert ff.element_order(field, (3,)) == 6
-        assert ff.element_order(field, (2,)) == 3
-        assert ff.element_order(field, (1,)) == 1
+        assert element_order(field, (3,)) == 6
+        assert element_order(field, (2,)) == 3
+        assert element_order(field, (1,)) == 1
 
     def test_primitive_choices(self):
         assert ff.find_primitive(ff.extend(GF7, (0, 1))) == 3
@@ -139,7 +157,22 @@ class TestInversesAndOrders:
         field = _extension(2, 3)
         gamma = ff.find_primitive(field)
         assert gamma == 2  # the generator x itself
-        assert ff.element_order(field, ff.element(field, gamma)) == 7
+        assert element_order(field, ff.element(field, gamma)) == 7
+
+    @pytest.mark.parametrize("field", [
+        ff.extend(GF2, (0, 1)),
+        ff.extend(GF7, (0, 1)),
+        ff.extend(ff.prime_field(41), (0, 1)),  # 3 is no square mod 41, yet has order 8
+        _extension(2, 3),   # |F| - 1 = 7 is prime
+        _extension(3, 2),   # |F| - 1 = 8 is a prime power
+    ], ids=["GF2", "GF7", "GF41", "GF8", "GF9"])
+    def test_primitive_matches_order_reference_on_small_fields(self, field):
+        assert ff.find_primitive(field) == reference_primitive(field)
+
+    @pytest.mark.parametrize("q", [q for q in range(2, 65) if len(ff.factorize(q)) == 1])
+    def test_primitive_matches_order_reference_on_singer_tops(self, q):
+        _, top = _tower(q)
+        assert ff.find_primitive(top) == reference_primitive(top)
 
 
 def _naive_product(p, modulus, a, b):
@@ -229,7 +262,7 @@ def test_primitive_generates_everything():
     for q in (2, 3, 4, 5):
         _, top = _tower(q)
         gamma = ff.element(top, ff.find_primitive(top))
-        assert ff.element_order(top, gamma) == q ** 3 - 1
+        assert element_order(top, gamma) == q ** 3 - 1
         seen = set()
         power = ff.element(top, 1)
         for _ in range(q ** 3 - 1):

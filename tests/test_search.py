@@ -74,7 +74,7 @@ def _lengths(bits):
 
 def _star(n):
     """The chords {1, a} on the single-vertex optimum's anchors."""
-    return tuple((1, a) for a in search.max_single_vertex_chords(n)[1])
+    return tuple((1, a) for a in max_single_vertex_chords(n)[1])
 
 
 def _chord_pool(n):
@@ -436,6 +436,47 @@ def _plain_search(n):
     return n + len(best), best, nodes
 
 
+def max_single_vertex_chords(n):
+    """The star reference: the largest single-vertex anchor set with all
+    predicted cycle lengths distinct, and the lexicographically first
+    witness of that size.
+
+    Anchors tried in increasing order; each new anchor a contributes lengths
+    a, n + 2 - a, and a - s + 2 per earlier anchor s, all of which must be
+    fresh.  The maximum grows like the largest Sidon set in {3..n-1}.
+    """
+    if n < 4:
+        raise ValueError("need n >= 4")
+    best = ()
+    chosen = []
+    used = {n}
+
+    def walk(lowest):
+        nonlocal best
+        if len(chosen) > len(best):
+            best = tuple(chosen)
+        for anchor in range(lowest, n):
+            if len(chosen) + (n - anchor) <= len(best):
+                return
+            fresh = []
+            ok = True
+            for length in [anchor, n + 2 - anchor] + [anchor - s + 2 for s in chosen]:
+                if length in used or length in fresh:
+                    ok = False
+                    break
+                fresh.append(length)
+            if not ok:
+                continue
+            chosen.append(anchor)
+            used.update(fresh)
+            walk(anchor + 1)
+            used.difference_update(fresh)
+            chosen.pop()
+
+    walk(3)
+    return len(best), best
+
+
 def _naive_g(n):
     """Sweep every chord subset up to the depth cap; no pruning at all."""
     pool = _chord_pool(n)
@@ -566,14 +607,14 @@ class TestExactSearch:
 
 class TestSingleVertexChords:
     def test_small_frozen_values(self):
-        assert search.max_single_vertex_chords(4) == (0, ())
-        assert search.max_single_vertex_chords(7) == (1, (3,))
+        assert max_single_vertex_chords(4) == (0, ())
+        assert max_single_vertex_chords(7) == (1, (3,))
         # 10 lengths {3..7, 9..13}, all distinct; size 4 would need 15 > 11
-        assert search.max_single_vertex_chords(13) == (3, (3, 6, 11))
+        assert max_single_vertex_chords(13) == (3, (3, 6, 11))
 
     def test_witness_is_valid(self):
         for n in range(4, 30):
-            size, witness = search.max_single_vertex_chords(n)
+            size, witness = max_single_vertex_chords(n)
             assert len(witness) == size
             assert _repeat_free(witness, n)
 
@@ -581,14 +622,14 @@ class TestSingleVertexChords:
         # the difference-set pipeline proves a lower bound; the search can
         # beat it at fixed n (at n = 13 three anchors fit, the pipeline uses two)
         assert _repeat_free([6], 7)
-        assert search.max_single_vertex_chords(7)[0] == 1
+        assert max_single_vertex_chords(7)[0] == 1
         assert _repeat_free([8, 12], 13)
-        assert search.max_single_vertex_chords(13)[0] == 3
+        assert max_single_vertex_chords(13)[0] == 3
 
     def test_maximum_is_truly_maximal(self):
         # brute force over all anchor subsets for small n
         for n in range(4, 16):
-            size, _ = search.max_single_vertex_chords(n)
+            size, _ = max_single_vertex_chords(n)
             best = 0
             anchors = range(3, n)
             for k in range(len(list(anchors)), -1, -1):
@@ -601,7 +642,7 @@ class TestSingleVertexChords:
         # anchor differences are pairwise distinct, so the size cannot beat
         # a Sidon set packed into 3..n-1 by much
         for n in range(4, 45):
-            size, witness = search.max_single_vertex_chords(n)
+            size, witness = max_single_vertex_chords(n)
             assert size <= math.isqrt(n) + 2
             assert oracle.is_sidon(witness) or size < 2
 
@@ -614,4 +655,4 @@ class TestSingleVertexChords:
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            search.max_single_vertex_chords(3)
+            max_single_vertex_chords(3)

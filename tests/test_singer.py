@@ -119,6 +119,17 @@ def test_walk_covers_one_period(monkeypatch):
     assert len(calls) < 23 ** 3 - 1
 
 
+def test_unit_group_order_factored_once(monkeypatch):
+    # prime_power(23), prime_field(23), then one factorization of 23^3 - 1
+    # shared by every candidate find_primitive tries
+    calls = []
+    original = finite_field.factorize
+    monkeypatch.setattr(finite_field, "factorize",
+                        lambda n: calls.append(n) or original(n))
+    singer.singer_difference_set(23)
+    assert calls == [23, 23, 23 ** 3 - 1]
+
+
 @pytest.mark.parametrize("q", [4, 5], ids=["tower", "prime"])
 def test_field_steps_go_through_module_attributes(monkeypatch, q):
     # The benchmark's per-layer spans replace these three module attributes;
