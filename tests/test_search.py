@@ -13,12 +13,14 @@ from cyclespec.graphs import ChordedCycleGraph
 
 # maximum edge counts; n <= 9 re-derived below by a naive sweep
 KNOWN_G = {3: 3, 4: 4, 5: 6, 6: 7, 7: 8, 8: 10, 9: 11, 10: 12, 11: 13, 12: 14}
-# exact values beyond the golden CLI grid, with their least witnesses
-LARGE_G = {18: (21, ((1, 3), (1, 5), (1, 9))),
-           19: (23, ((1, 3), (1, 6), (1, 12), (1, 14))),
-           20: (24, ((1, 3), (1, 5), (1, 10), (1, 14))),
-           21: (25, ((1, 3), (1, 6), (1, 13), (1, 15))),
-           22: (26, ((1, 3), (1, 5), (1, 9), (1, 14)))}
+# exact values beyond the golden CLI grid, with their least witnesses and
+# the nodes the search explores (frozen: a prune that moves them is a change
+# of the search, not a refactoring)
+LARGE_G = {18: (21, ((1, 3), (1, 5), (1, 9)), 2308),
+           19: (23, ((1, 3), (1, 6), (1, 12), (1, 14)), 378),
+           20: (24, ((1, 3), (1, 5), (1, 10), (1, 14)), 391),
+           21: (25, ((1, 3), (1, 6), (1, 13), (1, 15)), 517),
+           22: (26, ((1, 3), (1, 5), (1, 9), (1, 14)), 499)}
 
 
 def _repeat_free(anchors, n):
@@ -110,7 +112,7 @@ class TestHelpers:
                 assert len(oracle.enumerate_cycles(graph)) >= 1 + k * (k + 3) // 2
 
     def test_every_known_value_is_within_the_cap(self):
-        for n, g_value in sorted(KNOWN_G.items()) + [(n, g) for n, (g, _) in LARGE_G.items()]:
+        for n, g_value in sorted(KNOWN_G.items()) + [(n, g) for n, (g, _, _) in LARGE_G.items()]:
             assert g_value - n <= search.chord_cap(n)
             assert g_value <= _sharp_bound(n)
 
@@ -514,10 +516,11 @@ class TestExactSearch:
 
     @pytest.mark.parametrize("n", sorted(LARGE_G))
     def test_large_values(self, n):
-        g_value, chords = LARGE_G[n]
+        g_value, chords, nodes = LARGE_G[n]
         result = search.exact_g(n)
         assert result.exhaustive
         assert (result.g_value, result.witness.chords) == (g_value, chords)
+        assert result.nodes_explored == nodes
         assert g_value < n + math.sqrt(2 * n) + 1
         assert g_value <= _sharp_bound(n)
         nx = pytest.importorskip("networkx")
