@@ -16,9 +16,9 @@ the cycles its test found, F(c), and gains the one or two cycles through
 c and x alone, whose lengths T(c, x) are arithmetic in the four
 endpoints.  So before its own test, c is known to add K(c) = F(c) + T(c, x).
 The child drops c when K(c) repeats a length or meets one in use (its
-test would fail), and is cut before any test when the K sets show that
-the chords it still needs cannot fit in the free lengths.  With one chord
-chosen, K(c) is all that c would add, so depth 1 runs no walk.
+test would fail).  On the bare cycle K(c) is c's two arcs, and beside one
+chord it is all that c would add, so depths 0 and 1 run no path walk.
+Each cut is made once, in the parent, before the child costs anything.
 """
 
 from __future__ import annotations
@@ -140,35 +140,33 @@ def _new_cycle_lengths(n: int, partners: dict[int, list[int]], u: int, v: int,
     return fresh
 
 
-def _two_chord_lengths(n: int, first: tuple[int, int],
-                       second: tuple[int, int]) -> tuple[int, ...]:
+def _two_chord_lengths(n: int, first: tuple[int, int], second: tuple[int, int]) -> int:
     """Lengths of the cycles of the n-cycle that use both chords and no
-    other: two when the chords cross, one otherwise."""
+    other, as a bit set: two when the chords cross, one otherwise, and 0
+    when a crossing pair's two cycles have the same length."""
     (a, b), (c, d) = sorted((first, second))
     if a == c:
-        return (2 + d - b,)
+        return 1 << (2 + d - b)
     if b == d:
-        return (2 + c - a,)
+        return 1 << (2 + c - a)
     if b == c:
-        return (2 + n - d + a,)
+        return 1 << (2 + n - d + a)
     if d < b:
-        return (2 + c - a + b - d,)  # nested
+        return 1 << (2 + c - a + b - d)  # nested
     if b < c:
-        return (2 + c - b + n - d + a,)  # side by side
-    return (2 + c - a + d - b, 2 + b - c + n - d + a)  # crossing
+        return 1 << (2 + c - b + n - d + a)  # side by side
+    return 1 << (2 + c - a + d - b) ^ 1 << (2 + b - c + n - d + a)  # crossing
 
 
 def _child_pool(n: int, chord: tuple[int, int], used: int,
                 later: list[tuple[tuple[int, int], int]]) -> list[tuple[tuple[int, int], int]]:
-    """The forward check: the pool of the child that adds ``chord``, with
-    the lengths ``used`` in use, from the (candidate, fresh) survivors after
-    it.  A candidate keeps its fresh lengths and gains T(candidate, chord);
-    it is dropped when these repeat or meet a used length (its test fails)."""
+    """The forward check: the pool of the child that adds ``chord``, built
+    once the child passes the counting bound, from the (candidate, fresh)
+    survivors after it.  A candidate keeps its fresh lengths and gains
+    T(candidate, chord); it is dropped when these repeat or meet ``used``."""
     pool = []
     for candidate, fresh in later:
-        pair = 0  # T as a bit set, 0 if its two lengths coincide
-        for length in _two_chord_lengths(n, candidate, chord):
-            pair = 0 if pair >> length & 1 else pair | 1 << length
+        pair = _two_chord_lengths(n, candidate, chord)
         if pair and not (pair | fresh) & used and not pair & fresh:
             pool.append((candidate, fresh | pair))
     return pool
@@ -193,7 +191,7 @@ def exact_g(n: int, budget: int = DEFAULT_NODE_BUDGET) -> ExactResult:
     witness of each size found is therefore the least one, since the bounds
     only cut subtrees that cannot beat the incumbent.  Each candidate
     tried counts as one node, whether by a repeat test
-    (``_new_cycle_lengths``) or, at depth 1, by its known lengths, and
+    (``_new_cycle_lengths``) or, at depth 0 or 1, by its known lengths, and
     ``budget`` caps the number of nodes.
     A run cut by the budget reports the larger of its incumbent and the
     first-fit star, which costs no repeat test.
@@ -216,16 +214,9 @@ def exact_g(n: int, budget: int = DEFAULT_NODE_BUDGET) -> ExactResult:
 
     def walk(pool: list[tuple[tuple[int, int], int]]) -> None:
         """pool: (chord, K) in lexicographic order, K a bit set of lengths
-        the chord is known to add here."""
+        the chord is known to add here; the parent has made every cut."""
         nonlocal best, nodes, truncated, used
         depth = len(chosen)
-        free = n - 2 - used.bit_count()  # lengths in 3..n-1 not yet used
-        need = len(best) + 1 - depth  # chords still needed to beat the incumbent
-        if need * (2 * depth + need + 3) > 2 * free:
-            return  # a chord added to j chords closes at least j + 2 cycles;
-            # so a child of a node at the cap returns here, before any test
-        if not _can_fit(pool, need, free):
-            return
         partners: dict[int, list[int]] = {}  # each chord endpoint's chord neighbours
         for u, v in chosen:
             partners.setdefault(u, []).append(v)
@@ -236,13 +227,11 @@ def exact_g(n: int, budget: int = DEFAULT_NODE_BUDGET) -> ExactResult:
             if nodes > budget:
                 truncated = True
                 return
-            # beside one chord x, a candidate's cycles avoid x or use x alone,
-            # so K is exactly what its test would find
-            fresh = known if depth == 1 else _new_cycle_lengths(n, partners, *chord, used)
+            # beside at most one chord x, a candidate's cycles avoid x or use x
+            # alone, so K is exactly what its test would find (0 if it repeats)
+            fresh = (known or None) if depth < 2 else _new_cycle_lengths(n, partners, *chord, used)
             if fresh is not None:
                 survivors.append((chord, fresh))
-        if not _can_fit(survivors, need, free):
-            return
         for position, (chord, fresh) in enumerate(survivors):
             if depth + len(survivors) - position <= len(best):
                 return
@@ -252,14 +241,22 @@ def exact_g(n: int, budget: int = DEFAULT_NODE_BUDGET) -> ExactResult:
             used |= fresh
             if len(chosen) > len(best):
                 best = tuple(chosen)
-            walk(_child_pool(n, chord, used, survivors[position + 1:]))
+            free = n - 2 - used.bit_count()  # lengths in 3..n-1 not yet used
+            need = len(best) - depth  # chords the child needs to beat the incumbent
+            # a chord added to j chords closes at least j + 2 cycles; _can_fit
+            # implies this bound, checked first to spare building the pool
+            if need * (2 * depth + need + 5) <= 2 * free:
+                pool = _child_pool(n, chord, used, survivors[position + 1:])
+                if _can_fit(pool, need, free):
+                    walk(pool)
             used ^= fresh
             chosen.pop()
             if truncated or len(best) == cap:
                 return
 
-    walk([((u, v), 0) for u in range(1, n + 1) for v in range(u + 2, n + 1)
-          if (u, v) != (1, n)])
+    if cap:  # the root's two arcs, 0 when they have one length
+        walk([((u, v), 1 << (v - u + 1) ^ 1 << (n - v + u + 1))
+              for u in range(1, n + 1) for v in range(u + 2, n + 1) if (u, v) != (1, n)])
     star = _first_fit_star(n) if truncated else ()
     # max keeps the search's own set on a tie
     chords = max(best, star, key=len)

@@ -306,13 +306,19 @@ def _pair_kind(first, second):
     return "nested" if d < b else "side by side"
 
 
+class _FirstChild(Exception):
+    """Stops ``exact_g`` at the first pool it builds."""
+
+
 class TestForwardCheck:
     """The closed-form two-chord lengths T(c, x) and the known set
     K(c) = F(c) + T(c, x) that a child of the node adding x starts from."""
 
     def test_two_chord_lengths_match_enumeration(self):
         # the cycles through both chords are the pair's spectrum less each
-        # chord's own (the n-cycle is in all three, and T may contain n)
+        # chord's own (the n-cycle is in all three, and T may contain n);
+        # the bit set is 0 exactly when a crossing pair's two lengths
+        # coincide, which happens for even n when c + d - a - b = n/2
         kinds = Counter()
         for n in range(5, 15):
             pool = _chord_pool(n)
@@ -325,10 +331,17 @@ class TestForwardCheck:
                 through_both[n] += 1
                 assert min(through_both.values()) >= 0, (n, first, second)
                 expected = sorted(through_both.elements())
-                assert sorted(search._two_chord_lengths(n, first, second)) == expected
-                assert sorted(search._two_chord_lengths(n, second, first)) == expected
+                pair = search._two_chord_lengths(n, first, second)
+                assert search._two_chord_lengths(n, second, first) == pair
+                (a, b), (c, d) = sorted((first, second))
+                if len(set(expected)) < len(expected):
+                    assert pair == 0, (n, first, second)
+                    assert _pair_kind(first, second) == "crossing" and 2 * (c + d - a - b) == n
+                    kinds["coinciding"] += 1
+                else:
+                    assert pair == _bits(expected), (n, first, second)
                 kinds[_pair_kind(first, second)] += 1
-        assert set(kinds) == {"shared endpoint", "crossing", "nested", "side by side"}
+        assert set(kinds) == {"shared endpoint", "crossing", "nested", "side by side", "coinciding"}
 
     def test_known_lengths_bound_the_child_test(self):
         # on a repeat-free graph with chords x and c both surviving, the child
@@ -352,15 +365,42 @@ class TestForwardCheck:
             fresh_c = search._new_cycle_lengths(n, _partners(chords), *c, used)
             if fresh_x is None or fresh_c is None:
                 continue
-            known = _lengths(fresh_c) + list(search._two_chord_lengths(n, c, x))
+            pair = search._two_chord_lengths(n, c, x)
+            known = fresh_c | pair
             child_used = used | fresh_x
             found = search._new_cycle_lengths(n, _partners(chords + (x,)), *c, child_used)
-            if len(set(known)) < len(known) or child_used & _bits(known):
+            if not pair or pair & fresh_c or child_used & known:
                 assert found is None, (n, chords, x, c)
                 outcomes["dropped"] += 1
             elif found is not None:
-                assert set(known) <= set(_lengths(found)), (n, chords, x, c)
+                assert known & ~found == 0, (n, chords, x, c)
                 outcomes["survives"] += 1
+
+    @pytest.mark.parametrize("n", range(4, 31))
+    def test_root_arcs_match_the_repeat_test(self, n, monkeypatch):
+        # on the bare cycle a chord closes only its two arcs, so the root's
+        # K is their lengths, 0 where they coincide and the test repeats
+        roots = []
+        for u, v in _chord_pool(n):
+            arcs = 1 << (v - u + 1) ^ 1 << (n - v + u + 1)
+            assert arcs == (search._new_cycle_lengths(n, {}, u, v, 1 << n) or 0), (n, u, v)
+            if arcs:
+                roots.append(((u, v), arcs))
+        # from n = 8 on, the root's first child {1, 3} passes the counting
+        # bound and is handed every later survivor, with its K as fresh
+        handed = []
+
+        def first_child_pool(n, chord, used, later):
+            handed.extend([(chord, used ^ 1 << n)] + later)
+            raise _FirstChild
+
+        monkeypatch.setattr(search, "_child_pool", first_child_pool)
+        if n < 8:
+            search.exact_g(n)
+        else:
+            with pytest.raises(_FirstChild):
+                search.exact_g(n)
+            assert handed == roots
 
     @pytest.mark.parametrize("n", range(5, 17))
     def test_known_lengths_are_exact_at_depth_one(self, n):
@@ -528,6 +568,22 @@ class TestExactSearch:
         lengths = sorted(len(cycle) for cycle in nx.simple_cycles(graph))
         assert tuple(lengths) == oracle.enumerate_cycles(result.witness)
         assert len(set(lengths)) == len(lengths)
+
+    def test_pools_are_built_only_past_the_counting_bound(self, monkeypatch):
+        # _can_fit's sum test implies the counting bound (each K holds at
+        # least depth + 2 lengths), so that bound moves no node count; it
+        # spares the pools of children it cuts, and these counts pin that
+        built = Counter()
+        child_pool = search._child_pool
+
+        def counting_child_pool(n, *args):
+            built[n] += 1
+            return child_pool(n, *args)
+
+        monkeypatch.setattr(search, "_child_pool", counting_child_pool)
+        for n in (12, 17, 18):
+            search.exact_g(n)
+        assert built == {12: 20, 17: 222, 18: 828}
 
     def test_trivial_witnesses(self):
         assert search.exact_g(3).witness.chords == ()
