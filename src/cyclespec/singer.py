@@ -65,15 +65,20 @@ def singer_difference_set(q: int) -> PerfectDifferenceSet:
         raise ValueError(f"{q} is not a prime power (nearest: {nearest})")
     p, m = decomposition
     ground = ff.prime_field(p)
-    mid = ground if m == 1 else ff.tables(ff.extend(ground, ff.find_irreducible(ground, m)))
+    mid = ground if m == 1 else ff.logarithms(ff.extend(ground, ff.find_irreducible(ground, m)))
     top = ff.extend(mid, ff.find_irreducible(mid, 3))
     gamma = ff.element(top, ff.find_primitive(top))
-    n = q * q + q + 1
-    elements, power = [], (1, 0, 0)
+    # Multiplying by gamma is the 3x3 matrix with columns gamma, gamma x, gamma x^2.
+    (a, d, g), (b, e, h), (c, f, i) = (ff.multiply(top, gamma, ff.element(top, q ** j))
+                                       for j in range(3))
+    add, mul, n = mid.add, mid.mul, q * q + q + 1
+    elements, (u, v, w) = [], (1, 0, 0)
     for exponent in range(n):
-        if power[2] == 0:
+        if w == 0:
             elements.append(exponent)
-        power = ff.multiply(top, power, gamma)
+        u, v, w = (add(add(mul(a, u), mul(b, v)), mul(c, w)),
+                   add(add(mul(d, u), mul(e, v)), mul(f, w)),
+                   add(add(mul(g, u), mul(h, v)), mul(i, w)))
     return PerfectDifferenceSet(n, tuple(elements))
 
 

@@ -1,6 +1,7 @@
 """Difference set construction, verification oracle, and brute-force cross-check."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -89,7 +90,7 @@ def _full_walk(q: int) -> tuple[int, ...]:
     fold each exponent with vanishing top coordinate mod n."""
     p, m = singer.prime_power(q)
     ground = finite_field.prime_field(p)
-    mid = ground if m == 1 else finite_field.tables(
+    mid = ground if m == 1 else finite_field.logarithms(
         finite_field.extend(ground, finite_field.find_irreducible(ground, m)))
     top = finite_field.extend(mid, finite_field.find_irreducible(mid, 3))
     gamma = finite_field.element(top, finite_field.find_primitive(top))
@@ -109,25 +110,53 @@ def test_one_period_matches_full_walk(q):
 
 
 def test_walk_covers_one_period(monkeypatch):
-    # each walk step is one product, counted through the module attribute;
-    # one period is n = 553 steps, the full walk q^3 - 1 = 12,166
-    calls = []
-    original = finite_field.multiply
-    monkeypatch.setattr(finite_field, "multiply",
-                        lambda *args: calls.append(args) or original(*args))
+    # Every GF(23) product is counted.  The walk starts after the last GF(23^3)
+    # product, which builds its matrix, and each step applies that 3x3 matrix:
+    # nine products.  One period is n = 553 steps, the full walk 23^3 - 1.
+    products, last_multiply = [], []
+    prime_field, multiply = finite_field.prime_field, finite_field.multiply
+
+    def counting_field(p):
+        field = prime_field(p)
+        return field._replace(mul=lambda a, b: products.append(1) or field.mul(a, b))
+
+    def recording_multiply(*args):
+        result = multiply(*args)
+        last_multiply.append(len(products))
+        return result
+
+    monkeypatch.setattr(finite_field, "prime_field", counting_field)
+    monkeypatch.setattr(finite_field, "multiply", recording_multiply)
     singer.singer_difference_set(23)
-    assert len(calls) < 23 ** 3 - 1
+    steps, rest = divmod(len(products) - last_multiply[-1], 9)
+    assert (steps, rest) == (23 * 23 + 23 + 1, 0)
 
 
 def test_unit_group_order_factored_once(monkeypatch):
-    # prime_power(23), prime_field(23), then one factorization of 23^3 - 1
-    # shared by every candidate find_primitive tries
+    # prime_power(19), prime_field(19), then one factorization of 19^3 - 1
+    # shared by every candidate find_primitive tries: the 11 indices 19..29
+    # that follow the constants, which it skips
     calls = []
     original = finite_field.factorize
     monkeypatch.setattr(finite_field, "factorize",
                         lambda n: calls.append(n) or original(n))
-    singer.singer_difference_set(23)
-    assert calls == [23, 23, 23 ** 3 - 1]
+    singer.singer_difference_set(19)
+    assert calls == [19, 19, 19 ** 3 - 1]
+
+
+def test_field_memory_is_linear_in_q():
+    # q = 251 is prime, so GF(q) is arithmetic mod p and the walk keeps three
+    # coordinates: the peak stays under 100 kB, where the q x q tables it
+    # replaced took about 1.1 MB.  Warm up first, so that the interpreter's
+    # own first-run allocations are not counted.
+    singer.singer_difference_set(251)
+    tracemalloc.start()
+    try:
+        singer.singer_difference_set(251)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 @pytest.mark.parametrize("q", [4, 5], ids=["tower", "prime"])
