@@ -13,6 +13,7 @@ from typing import Callable, NamedTuple
 
 class Field(NamedTuple):
     """GF(q) on the indices 0..q-1; index c < p is the constant c, so 0 is zero and 1 is one."""
+
     order: int
     characteristic: int
     add: Callable[[int, int], int]
@@ -21,6 +22,7 @@ class Field(NamedTuple):
 
 class Extension(NamedTuple):
     """base[x]/(modulus), ``order`` tuples of deg(modulus) coefficients; x^deg = ``fold``."""
+
     base: Field
     modulus: tuple[int, ...]
     order: int
@@ -54,7 +56,8 @@ def digits(index: int, base: int, count: int) -> tuple[int, ...]:
 
 def monic_polynomials(field: Field, degree: int):
     """Monic polynomials of exact ``degree``, lower coefficients counting up in base |F|."""
-    return (digits(value, field.order, degree) + (1,) for value in range(field.order ** degree))
+    for value in range(field.order ** degree):
+        yield digits(value, field.order, degree) + (1,)
 
 
 def proper_factor(field: Field, poly) -> tuple[int, ...] | None:
@@ -76,14 +79,18 @@ def find_irreducible(base: Field, degree: int) -> tuple[int, ...]:
     """Canonically smallest monic irreducible of the given degree over base."""
     if degree < 2:
         raise ValueError("degree must be at least 2")
-    return next(f for f in monic_polynomials(base, degree) if proper_factor(base, f) is None)
+    for candidate in monic_polynomials(base, degree):
+        if proper_factor(base, candidate) is None:
+            return candidate
+    raise AssertionError("finite fields admit irreducibles of every degree")
 
 
 def extend(base: Field, modulus) -> Extension:
     """The extension field base[x]/(modulus), for a monic irreducible modulus."""
     if len(modulus) < 2 or modulus[-1] != 1:
         raise ValueError("modulus must be monic of degree at least 1")
-    if (factor := proper_factor(base, modulus)) is not None:
+    factor = proper_factor(base, modulus)
+    if factor is not None:
         raise ValueError(f"modulus {modulus} has factor {factor}")
     fold = tuple(base.mul(base.characteristic - 1, c) for c in modulus[:-1])
     return Extension(base, tuple(modulus), base.order ** len(fold), fold)
@@ -112,10 +119,13 @@ def multiply(field: Extension, a, b) -> tuple[int, ...]:
 
 
 def power(field: Extension, a, exponent: int) -> tuple[int, ...]:
-    if not exponent:
-        return element(field, 1)
-    half = power(field, multiply(field, a, a), exponent >> 1)
-    return multiply(field, half, a) if exponent & 1 else half
+    result = element(field, 1)
+    while exponent:
+        if exponent & 1:
+            result = multiply(field, result, a)
+        a = multiply(field, a, a)
+        exponent >>= 1
+    return result
 
 
 def logarithms(field: Extension) -> Field:
@@ -123,6 +133,8 @@ def logarithms(field: Extension) -> Field:
     Zech logs log(1 + g^k).  Zero's log s leads past the doubled exp table into zeros,
     and the Zech table is padded so that a zero summand yields the other one."""
     p, order, one, s = field.base.order, field.order, element(field, 1), 2 * (field.order - 1)
+    # find_primitive's choice, found while the exp table fills: calling that module
+    # attribute would add a second span per tower build to the benchmark's trace.
     for index in range(p, order):  # the constants' units have only p - 1 powers
         exp, current = [1], element(field, index)
         while current != one:
@@ -139,12 +151,16 @@ def logarithms(field: Extension) -> Field:
 
 
 def find_primitive(field: Extension) -> int:
-    """Index of the first element in canonical order to generate the unit group, that is
-    a^((|F| - 1) / r) != 1 for each prime r | |F| - 1 (factored once).  The constants of
-    a proper extension are skipped, as their units are too few."""
+    """Index of the first element in canonical order that generates the unit group.
+
+    A nonzero a generates it iff a^((|F| - 1) / r) != 1 for every prime r
+    dividing |F| - 1, so |F| - 1 is factored once, for all candidates.  The
+    constants of a proper extension are skipped, as their units are too few.
+    """
     one = element(field, 1)
     cofactors = [(field.order - 1) // prime for prime, _ in factorize(field.order - 1)]
     for index in range(field.base.order if len(one) > 1 else 1, field.order):
-        if all(power(field, element(field, index), c) != one for c in cofactors):
+        a = element(field, index)
+        if all(power(field, a, cofactor) != one for cofactor in cofactors):
             return index
     raise AssertionError("unit groups of finite fields are cyclic")
