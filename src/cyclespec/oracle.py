@@ -38,11 +38,16 @@ def enumerate_cycles(graph: ChordedCycleGraph,
     chord endpoints: each cycle arc between two consecutive branch vertices
     becomes one edge weighted by its number of original edges, and each
     chord one edge of weight 1.  Edges are numbered, so parallel ones stay
-    distinct.  Each cycle is emitted exactly once, from its least branch
-    vertex and in the direction whose first edge number is smaller than
-    its closing one; a 2-edge cycle of two parallel edges counts too.  A
-    graph without chords is its one Hamilton cycle.  Independent of the
-    closed-form census and of the search.
+    distinct.  Each cycle is walked once, in one direction: from its least
+    vertex ``start``, out through the lower-numbered of its two edges at
+    ``start`` and back through the higher one; a 2-edge cycle of two
+    parallel edges counts too.  Vertices up to ``start`` are marked visited
+    from the outset, and a path stops growing once every vertex it could
+    close through lies on it.  Iterative on purpose: one explicit stack of
+    (vertex, visited bit set, length) states, so thousands of branch
+    vertices cannot hit the recursion limit.  A graph without chords is its
+    one Hamilton cycle.  Independent of the closed-form census and of the
+    search.
     """
     if budget < 1:
         raise ValueError("budget must be positive")
@@ -55,37 +60,32 @@ def enumerate_cycles(graph: ChordedCycleGraph,
     edges = [(index[u], index[v], (v - u) % graph.n)
              for u, v in zip(branch, branch[1:] + branch[:1])]
     edges += [(index[u], index[v], 1) for u, v in graph.chords]
-    adjacency: list[list[tuple[int, int, int]]] = [[] for _ in branch]
-    for edge, (u, v, weight) in enumerate(edges):
-        adjacency[u].append((v, weight, edge))
-        adjacency[v].append((u, weight, edge))
+    steps: list[list[tuple[int, int, int]]] = [[] for _ in branch]
+    for u, v, weight in edges:  # in edge order
+        steps[u].append((v, 1 << v, weight))
+        steps[v].append((u, 1 << u, weight))
     lengths: list[int] = []
-    for start in range(len(branch)):
-        on_path = [False] * len(branch)
-        on_path[start] = True
-        path = [start]        # branch vertices
-        totals = [0]          # original edges up to each of them
-        first = -1            # number of the edge leaving start
-        pending = [iter(adjacency[start])]
-        while pending:
-            step = next(pending[-1], None)
-            if step is None:
-                pending.pop()
-                on_path[path.pop()] = False
-                totals.pop()
+    for start, around in enumerate(steps):
+        visited = (2 << start) - 1
+        # roots in falling edge order, so closing holds the edges above each
+        closing: dict[int, list[int]] = {}  # vertex -> weights back to start
+        targets = 0                         # bit set of closing's vertices
+        for first, _, weight in reversed(around):
+            if first < start:
                 continue
-            other, weight, edge = step
-            if other == start and first < edge:
-                if len(lengths) >= budget:
-                    raise BudgetExceeded(budget, len(lengths))
-                lengths.append(totals[-1] + weight)
-            elif other > start and not on_path[other]:
-                if len(path) == 1:
-                    first = edge
-                path.append(other)
-                on_path[other] = True
-                totals.append(totals[-1] + weight)
-                pending.append(iter(adjacency[other]))
+            stack = [(first, visited | 1 << first, weight)] if targets else []
+            while stack:
+                vertex, seen, total = stack.pop()
+                for back in closing.get(vertex, ()):
+                    if len(lengths) >= budget:
+                        raise BudgetExceeded(budget, len(lengths))
+                    lengths.append(total + back)
+                if targets & ~seen:  # some way back to start still open
+                    for other, bit, step in steps[vertex]:
+                        if not seen & bit:
+                            stack.append((other, seen | bit, total + step))
+            closing.setdefault(first, []).append(weight)
+            targets |= 1 << first
     return tuple(sorted(lengths))
 
 

@@ -83,10 +83,19 @@ def singer_difference_set(q: int) -> PerfectDifferenceSet:
 
 
 def verify_perfect_difference_set(candidate: PerfectDifferenceSet) -> bool:
-    """True when every nonzero residue is an ordered difference exactly once."""
+    """True when every nonzero residue is an ordered difference exactly once.
+
+    Marks residues in n bytes and stops at the first repeated difference.
+    """
     n = candidate.n
-    differences = ((a - b) % n for a, b in itertools.permutations(candidate.elements, 2))
-    return sorted(differences) == list(range(1, n))
+    seen = bytearray(n)
+    seen[0] = 1  # a zero difference counts as a repeat
+    for a, b in itertools.permutations(candidate.elements, 2):
+        difference = (a - b) % n
+        if seen[difference]:
+            return False
+        seen[difference] = 1
+    return 0 not in seen
 
 
 def brute_force_difference_set(n: int, k: int) -> PerfectDifferenceSet | None:

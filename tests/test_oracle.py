@@ -2,12 +2,13 @@
 
 import json
 import random
+import sys
 from collections import Counter, defaultdict
 from fractions import Fraction
 
 import pytest
 
-from cyclespec import graphs, oracle, singer
+from cyclespec import cycleset, graphs, oracle, singer
 from cyclespec.graphs import ChordedCycleGraph
 from test_search import dihedral_maps
 
@@ -42,6 +43,7 @@ class TestEnumerate:
     @pytest.mark.parametrize("graph", [
         graphs.build_graph(13, [8, 12]),
         ChordedCycleGraph(30, ((1, 12), (3, 24), (5, 20), (9, 27), (15, 29))),
+        graphs.build_graph(21, cycleset.derive_cycle_set(singer.singer_difference_set(4))),
     ])
     def test_budget_counts_cycles_found(self, graph):
         spectrum = oracle.enumerate_cycles(graph)
@@ -57,11 +59,71 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("q", [16, 32])
     def test_large_singer_graphs_match_census(self, q):
-        from cyclespec import cycleset
         diffset = singer.singer_difference_set(q)
         anchors = cycleset.derive_cycle_set(diffset)
         graph = graphs.build_graph(diffset.n, anchors)
         assert oracle.enumerate_cycles(graph) == graphs.predicted_spectrum(diffset.n, anchors)
+
+    def test_deep_hub_graph_needs_no_recursion(self):
+        # 201 branch vertices, and one path from the hub visits all of
+        # them; a recursive walk would need a frame per vertex on it
+        anchors = range(3, 203)
+        expected = graphs.predicted_spectrum(205, anchors)
+        graph = graphs.build_graph(205, anchors)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(150)
+        try:
+            spectrum = oracle.enumerate_cycles(graph)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(spectrum) == 1 + 2 * 200 + 200 * 199 // 2
+        assert spectrum == expected
+
+
+def _contracted_reference(graph):
+    """The contracted enumerator as it was before the bit-set stack walk.
+
+    Same contracted multigraph, but every path is walked in both directions
+    and the one whose first edge number exceeds its closing one is dropped;
+    edges into vertices below the start are walked and then rejected.
+    """
+    if not graph.chords:
+        return (graph.n,)
+    branch = sorted({v for chord in graph.chords for v in chord})
+    index = {v: i for i, v in enumerate(branch)}
+    edges = [(index[u], index[v], (v - u) % graph.n)
+             for u, v in zip(branch, branch[1:] + branch[:1])]
+    edges += [(index[u], index[v], 1) for u, v in graph.chords]
+    adjacency = [[] for _ in branch]
+    for edge, (u, v, weight) in enumerate(edges):
+        adjacency[u].append((v, weight, edge))
+        adjacency[v].append((u, weight, edge))
+    lengths = []
+    for start in range(len(branch)):
+        on_path = [False] * len(branch)
+        on_path[start] = True
+        path = [start]
+        totals = [0]
+        first = -1
+        pending = [iter(adjacency[start])]
+        while pending:
+            step = next(pending[-1], None)
+            if step is None:
+                pending.pop()
+                on_path[path.pop()] = False
+                totals.pop()
+                continue
+            other, weight, edge = step
+            if other == start and first < edge:
+                lengths.append(totals[-1] + weight)
+            elif other > start and not on_path[other]:
+                if len(path) == 1:
+                    first = edge
+                path.append(other)
+                on_path[other] = True
+                totals.append(totals[-1] + weight)
+                pending.append(iter(adjacency[other]))
+    return tuple(sorted(lengths))
 
 
 def _adjacency(graph):
@@ -142,9 +204,15 @@ def test_enumeration_matches_edge_subset_oracle():
         assert got == _subset_cycle_lengths(graph), graph
 
 
-def test_contraction_matches_vertex_and_networkx_oracles():
-    """Chords drawn with repeats of endpoints allowed, so hubs and parallel
-    contracted edges both occur."""
+def cross_check_enumerators(max_examples):
+    """Four enumerators agree on hypothesis draws of chorded cycles: the
+    shipped one, ``_contracted_reference``, ``_vertex_cycles`` and networkx.
+
+    n <= 40 and up to 10 chords, drawn with repeated endpoints allowed, so
+    parallel contracted edges occur; half the draws also put up to 10
+    chords on one hub vertex.  Derandomized, so every run sees the same
+    graphs.
+    """
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     nx = pytest.importorskip("networkx")
@@ -154,17 +222,31 @@ def test_contraction_matches_vertex_and_networkx_oracles():
         n = draw(st.integers(3, 40))
         pool = [(u, v) for u in range(1, n - 1) for v in range(u + 2, n + 1)
                 if (u, v) != (1, n)]
-        chords = draw(st.lists(st.sampled_from(pool), max_size=6, unique=True)) if pool else []
+        if not pool:
+            return ChordedCycleGraph(n)
+        hub = draw(st.integers(1, n))
+        spokes = [chord for chord in pool if hub in chord]
+        chords = set(draw(st.lists(st.sampled_from(spokes), max_size=10))
+                     if draw(st.booleans()) else ())
+        chords |= set(draw(st.lists(st.sampled_from(pool), max_size=10 - len(chords))))
         return ChordedCycleGraph(n, tuple(chords))
 
-    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @hypothesis.settings(max_examples=max_examples, deadline=None, derandomize=True,
+                         database=None)
     @hypothesis.given(chorded_cycles())
+    @hypothesis.example(ChordedCycleGraph(14, tuple((1, a) for a in range(3, 13))))
+    @hypothesis.example(ChordedCycleGraph(12, ((1, 6), (2, 6), (3, 6), (6, 9), (6, 11), (4, 10))))
     def agree(graph):
         reference = nx.Graph(graph.cycle_edges() + list(graph.chords))
         expected = tuple(sorted(len(cycle) for cycle in nx.simple_cycles(reference)))
-        assert oracle.enumerate_cycles(graph) == _vertex_cycles(graph) == expected
+        assert oracle.enumerate_cycles(graph) == _contracted_reference(graph) == expected
+        assert _vertex_cycles(graph) == expected
 
     agree()
+
+
+def test_contraction_matches_vertex_and_networkx_oracles():
+    cross_check_enumerators(300)
 
 
 class TestHasRepeatedLength:

@@ -1,5 +1,6 @@
 """Difference set construction, verification oracle, and brute-force cross-check."""
 
+import itertools
 import random
 import tracemalloc
 
@@ -184,6 +185,14 @@ def test_derive_checks_perfectness_once(monkeypatch):
     assert [diffset.elements for diffset in calls] == [(0, 1, 3, 9)]
 
 
+def _sorted_differences_perfect(candidate):
+    """The verifier as it was before the residue marks: all k(k - 1) ordered
+    differences, sorted, must be exactly 1..n - 1."""
+    n = candidate.n
+    differences = ((a - b) % n for a, b in itertools.permutations(candidate.elements, 2))
+    return sorted(differences) == list(range(1, n))
+
+
 class TestVerifier:
     def test_accepts_perfect(self):
         assert singer.verify_perfect_difference_set(
@@ -198,6 +207,26 @@ class TestVerifier:
         # n = 1 leaves no residues to cover
         assert singer.verify_perfect_difference_set(
             singer.PerfectDifferenceSet(1, (0,)))
+
+    @pytest.mark.parametrize("q", [q for q in PRIME_POWERS if q <= 64])
+    def test_corrupted_sets_match_sorted_differences(self, q):
+        diffset = singer.singer_difference_set(q)
+        n, elements = diffset.n, diffset.elements
+        variants = [diffset]
+        for i in range(len(elements)):
+            dropped = elements[:i] + elements[i + 1:]
+            variants.append(singer.PerfectDifferenceSet(n, dropped))
+            shifted = (elements[i] + 1) % n
+            if shifted not in elements:
+                variants.append(singer.PerfectDifferenceSet(n, sorted(dropped + (shifted,))))
+        assert len(variants) > len(elements) + 1
+        verdicts = []
+        for candidate in variants:
+            verdicts.append(singer.verify_perfect_difference_set(candidate))
+            assert verdicts[-1] is _sorted_differences_perfect(candidate), candidate
+        # the set itself passes, every dropped element fails (a shift may
+        # land on another perfect set, as {0, 1, 3} -> {0, 2, 3} at q = 2)
+        assert verdicts[0] and verdicts.count(False) >= len(elements)
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
