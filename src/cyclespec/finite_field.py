@@ -132,16 +132,12 @@ def logarithms(field: Extension) -> Field:
     """GF(p^m) over GF(p) as exp/log tables of its canonical primitive element g and
     Zech logs log(1 + g^k).  Zero's log s leads past the doubled exp table into zeros,
     and the Zech table is padded so that a zero summand yields the other one."""
-    p, order, one, s = field.base.order, field.order, element(field, 1), 2 * (field.order - 1)
-    # find_primitive's choice, found while the exp table fills: calling that module
-    # attribute would add a second span per tower build to the benchmark's trace.
-    for index in range(p, order):  # the constants' units have only p - 1 powers
-        exp, current = [1], element(field, index)
-        while current != one:
-            exp.append(sum(c * p ** i for i, c in enumerate(current)))
-            current = multiply(field, current, element(field, index))
-        if len(exp) == order - 1:
-            break
+    p, order, s = field.base.order, field.order, 2 * (field.order - 1)
+    g = element(field, find_primitive(field))
+    exp, current = [1], g
+    for _ in range(order - 2):  # the indices of g^0 .. g^(order - 2)
+        exp.append(sum(c * p ** i for i, c in enumerate(current)))
+        current = multiply(field, current, g)
     log = [s] + [k for _, k in sorted(zip(exp, range(order - 1)))]
     exp = exp * 2 + [0] * (s + 1)
     zech = ([k - s for k in range(order - 1)]

@@ -105,38 +105,29 @@ def _new_cycle_lengths(n: int, partners: dict[int, list[int]], u: int, v: int,
                        used: int) -> int | None:
     """Lengths of all cycles the chord {u, v} would add to the n-cycle plus
     the chords in ``partners`` (each chord endpoint's chord neighbours), one
-    per simple u-v path, as a bit set (bit L for length L); None as soon as
-    a new length repeats one in the bit set ``used`` or another new one.
-
-    The paths are walked on the cycle contracted to u, v and the chord
-    endpoints: each arc between two consecutive points is one edge weighted
-    by its length, and a chord joining them is a parallel edge of weight 1."""
+    per simple u-v path, as a bit set (bit L for length L); None as soon as a
+    new length repeats one in the bit set ``used`` or another new one.  Both
+    outcomes depend only on the multiset of lengths, so walk order cannot
+    change them.  One stack of (point, path as a bit set, length) states walks
+    the cycle contracted to u, v and the chord endpoints: an arc between two
+    consecutive points is one edge weighted by its length, a chord one of 1."""
     points = sorted(partners.keys() | {u, v})
     around = {point: [(before, (point - before) % n), (after, (after - point) % n)]
                      + [(other, 1) for other in partners.get(point, ())]
               for before, point, after in zip(points[-1:] + points[:-1], points,
                                               points[1:] + points[:1])}
     fresh = 0
-    path = [u]
-    totals = [1]  # edges up to each point on the path, counting the chord {u, v}
-    pending = [iter(around[u])]
-    while pending:
-        step = next(pending[-1], None)
-        if step is None:
-            pending.pop()
-            path.pop()
-            totals.pop()
-            continue
-        point, weight = step
-        if point == v:
-            bit = 1 << (totals[-1] + weight)
-            if (used | fresh) & bit:
-                return None
-            fresh |= bit
-        elif point not in path:
-            path.append(point)
-            totals.append(totals[-1] + weight)
-            pending.append(iter(around[point]))
+    stack = [(u, 1 << u, 1)]  # the chord {u, v} counts as one edge
+    while stack:
+        point, path, total = stack.pop()
+        for other, weight in around[point]:
+            if other == v:
+                bit = 1 << (total + weight)
+                if (used | fresh) & bit:
+                    return None
+                fresh |= bit
+            elif not path >> other & 1:
+                stack.append((other, path | 1 << other, total + weight))
     return fresh
 
 

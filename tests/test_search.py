@@ -255,17 +255,27 @@ class TestIncrementalLengths:
             outcomes[repeats] += 1
 
     def test_contracted_walk_matches_vertex_walk_and_oracle(self):
-        # any chord set, repeat-free or not, and any lengths in use: the new
-        # chord's lengths are the spectrum it adds, the multiset difference
-        # of the two enumerations, and the test fails exactly when they
-        # repeat or meet a used length
+        # any chord set, repeat-free or not, hubs and up to one chord past
+        # the cap included, and any lengths in use: the new chord's lengths
+        # are the spectrum it adds, the multiset difference of the two
+        # enumerations, and the test fails exactly when they repeat or meet
+        # a used length
         rng = random.Random(3041)
         seen = Counter()
         for n in range(5, 41):
             pool = _chord_pool(n)
+            most = min(max(6, search.chord_cap(n) + 1), len(pool) - 1)
             for _ in range(12):
-                chords = sorted(rng.sample(pool, rng.randrange(0, min(6, len(pool) - 1) + 1)))
-                ends = sorted({end for chord in chords for end in chord})
+                if n >= 7 and rng.random() < 0.25:  # a hub: >= 4 chords at one vertex
+                    hub = rng.randrange(1, n + 1)
+                    chords = rng.sample([chord for chord in pool if hub in chord],
+                                        rng.randrange(4, min(most, n - 3) + 1))
+                    rest = [chord for chord in pool if chord not in chords]
+                    chords = sorted(chords + rng.sample(rest, rng.randrange(most - len(chords) + 1)))
+                else:
+                    chords = sorted(rng.sample(pool, rng.randrange(0, most + 1)))
+                degrees = Counter(end for chord in chords for end in chord)
+                ends = sorted(degrees)
                 free = [chord for chord in pool if chord not in chords]
                 if ends and rng.random() < 0.5:  # start at a chord endpoint
                     start = rng.choice(ends)
@@ -293,8 +303,10 @@ class TestIncrementalLengths:
                 seen["u or v a chord endpoint"] += u in ends or v in ends
                 seen["used meets a new length"] += bool(used & _bits(new))
                 seen["six chords"] += len(chords) == 6
+                seen["more than six chords"] += len(chords) > 6
+                seen["hub"] += max(degrees.values(), default=0) >= 4
         assert min(seen.values()) >= 20, seen
-        assert len(seen) == 8, seen
+        assert len(seen) == 10, seen
 
 
 def _pair_kind(first, second):
