@@ -20,7 +20,7 @@ class CycleSetDerivation:
     """Intermediate values of the difference-set-to-anchors conversion."""
 
     pair: tuple[int, int]        # (a0, b0) with a0 - b0 = 2 mod n
-    shifted: tuple[int, ...]     # the translate by b0, viewed inside {1..n}
+    shifted: tuple[int, ...]     # the translate by b0 inside {1..n}: the census ruler
     anchors: tuple[int, ...]     # shifted without 2 and n
 
 

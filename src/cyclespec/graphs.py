@@ -68,16 +68,14 @@ def build_graph(n: int, values) -> ChordedCycleGraph:
 def predicted_spectrum(n: int, values) -> tuple[int, ...]:
     """Closed-form census of the cycle lengths of ``build_graph(n, values)``.
 
-    Exactly one Hamilton cycle (length n); per anchor a the short and long
-    single-chord cycles (lengths a and n + 2 - a); per anchor pair a < b one
-    two-chord cycle (length b - a + 2).  1 + 2|S| + C(|S|, 2) cycles total,
-    whatever the anchors are; whether a length repeats is for
-    ``oracle.has_repeated_length`` to say.  Returned sorted.
+    With the marks 2 < anchors < n, each pair of marks a < b closes one
+    cycle of length b - a + 2: (2, n) the Hamilton cycle, (2, a) and (a, n)
+    the two cycles through chord {1, a}, and two anchors the cycle through
+    both chords.  The lengths, returned sorted, repeat exactly when the marks
+    are no Golomb ruler, which is for ``oracle.has_repeated_length`` to say.
     """
-    anchors = _checked_anchors(n, values)
-    lengths = [n, *anchors, *(n + 2 - a for a in anchors),
-               *(b - a + 2 for a, b in itertools.combinations(anchors, 2))]
-    return tuple(sorted(lengths))
+    marks = [2, *_checked_anchors(n, values), n]
+    return tuple(sorted(b - a + 2 for a, b in itertools.combinations(marks, 2)))
 
 
 # Per text format: the opening line, the edge-line template, the closing

@@ -101,21 +101,22 @@ def _can_fit(pool: list[tuple[tuple[int, int], int]], need: int, free: int) -> b
     return False
 
 
-def _new_cycle_lengths(n: int, partners: dict[int, list[int]], u: int, v: int,
+def _new_cycle_lengths(n: int, chords: list[tuple[int, int]], u: int, v: int,
                        used: int) -> int | None:
     """Lengths of all cycles the chord {u, v} would add to the n-cycle plus
-    the chords in ``partners`` (each chord endpoint's chord neighbours), one
-    per simple u-v path, as a bit set (bit L for length L); None as soon as a
-    new length repeats one in the bit set ``used`` or another new one.  Both
-    outcomes depend only on the multiset of lengths, so walk order cannot
-    change them.  One stack of (point, path as a bit set, length) states walks
-    the cycle contracted to u, v and the chord endpoints: an arc between two
-    consecutive points is one edge weighted by its length, a chord one of 1."""
-    points = sorted(partners.keys() | {u, v})
+    ``chords``, one per simple u-v path, as a bit set (bit L for length L);
+    None as soon as a new length repeats one in ``used`` or another new one.
+    Both outcomes depend only on the multiset of lengths, so walk order
+    cannot change them.  One stack of (point, path as a bit set, length)
+    states walks the cycle contracted to u, v and the chord endpoints: an arc
+    between consecutive points is one edge weighted by its length, a chord 1."""
+    points = sorted({u, v}.union(*chords))
     around = {point: [(before, (point - before) % n), (after, (after - point) % n)]
-                     + [(other, 1) for other in partners.get(point, ())]
               for before, point, after in zip(points[-1:] + points[:-1], points,
                                               points[1:] + points[:1])}
+    for a, b in chords:
+        around[a].append((b, 1))
+        around[b].append((a, 1))
     fresh = 0
     stack = [(u, 1 << u, 1)]  # the chord {u, v} counts as one edge
     while stack:
@@ -133,20 +134,19 @@ def _new_cycle_lengths(n: int, partners: dict[int, list[int]], u: int, v: int,
 
 def _two_chord_lengths(n: int, first: tuple[int, int], second: tuple[int, int]) -> int:
     """Lengths of the cycles of the n-cycle that use both chords and no
-    other, as a bit set: two when the chords cross, one otherwise, and 0
-    when a crossing pair's two cycles have the same length."""
-    (a, b), (c, d) = sorted((first, second))
-    if a == c:
-        return 1 << (2 + d - b)
-    if b == d:
-        return 1 << (2 + c - a)
-    if b == c:
-        return 1 << (2 + n - d + a)
-    if d < b:
-        return 1 << (2 + c - a + b - d)  # nested
-    if b < c:
-        return 1 << (2 + c - b + n - d + a)  # side by side
-    return 1 << (2 + c - a + d - b) ^ 1 << (2 + b - c + n - d + a)  # crossing
+    other, as a bit set.  With (a, b) <= (c, d): side by side (b <= c), one
+    cycle through the outer arcs; else ``inner`` through the arcs a..c and
+    b..d, alone when the chords nest or share an endpoint, and with n + 4 -
+    inner when they cross (0 when the two coincide)."""
+    if second < first:
+        first, second = second, first
+    (a, b), (c, d) = first, second
+    if b <= c:
+        return 1 << (2 + c - b + n - d + a)
+    inner = 2 + c - a + abs(d - b)
+    if a < c < b < d:
+        return 1 << inner ^ 1 << (n + 4 - inner)
+    return 1 << inner
 
 
 def _child_pool(n: int, chord: tuple[int, int], used: int,
@@ -157,7 +157,7 @@ def _child_pool(n: int, chord: tuple[int, int], used: int,
     T(candidate, chord); it is dropped when these repeat or meet ``used``."""
     pool = []
     for candidate, fresh in later:
-        pair = _two_chord_lengths(n, candidate, chord)
+        pair = _two_chord_lengths(n, chord, candidate)
         if pair and not (pair | fresh) & used and not pair & fresh:
             pool.append((candidate, fresh | pair))
     return pool
@@ -208,10 +208,6 @@ def exact_g(n: int, budget: int = DEFAULT_NODE_BUDGET) -> ExactResult:
         the chord is known to add here; the parent has made every cut."""
         nonlocal best, nodes, truncated, used
         depth = len(chosen)
-        partners: dict[int, list[int]] = {}  # each chord endpoint's chord neighbours
-        for u, v in chosen:
-            partners.setdefault(u, []).append(v)
-            partners.setdefault(v, []).append(u)
         survivors = []  # (chord, its fresh lengths as a bit set)
         for chord, known in pool:
             nodes += 1
@@ -220,7 +216,7 @@ def exact_g(n: int, budget: int = DEFAULT_NODE_BUDGET) -> ExactResult:
                 return
             # beside at most one chord x, a candidate's cycles avoid x or use x
             # alone, so K is exactly what its test would find (0 if it repeats)
-            fresh = (known or None) if depth < 2 else _new_cycle_lengths(n, partners, *chord, used)
+            fresh = (known or None) if depth < 2 else _new_cycle_lengths(n, chosen, *chord, used)
             if fresh is not None:
                 survivors.append((chord, fresh))
         for position, (chord, fresh) in enumerate(survivors):

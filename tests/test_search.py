@@ -46,15 +46,6 @@ def dihedral_maps(n):
     return maps
 
 
-def _partners(chords):
-    """Each chord endpoint's chord neighbours, as ``exact_g`` keeps them."""
-    partners = {}
-    for u, v in chords:
-        partners.setdefault(u, []).append(v)
-        partners.setdefault(v, []).append(u)
-    return partners
-
-
 def _adjacency(graph):
     """Sorted neighbour tuple of every vertex of a chorded cycle graph."""
     neighbors = {v: set() for v in range(1, graph.n + 1)}
@@ -226,11 +217,11 @@ class TestIncrementalLengths:
     vertex-by-vertex reference and against full re-enumeration."""
 
     def test_single_chord_on_bare_cycle(self):
-        assert _lengths(search._new_cycle_lengths(7, {}, 1, 3, _bits([7]))) == [3, 6]
-        assert _lengths(search._new_cycle_lengths(7, {}, 2, 6, _bits([7]))) == [4, 5]
-        assert search._new_cycle_lengths(7, {}, 2, 6, _bits([7, 4])) is None
+        assert _lengths(search._new_cycle_lengths(7, (), 1, 3, _bits([7]))) == [3, 6]
+        assert _lengths(search._new_cycle_lengths(7, (), 2, 6, _bits([7]))) == [4, 5]
+        assert search._new_cycle_lengths(7, (), 2, 6, _bits([7, 4])) is None
         # two arcs of equal length are two parallel edges, and repeat
-        assert search._new_cycle_lengths(8, {}, 2, 6, _bits([8])) is None
+        assert search._new_cycle_lengths(8, (), 2, 6, _bits([8])) is None
 
     def test_matches_full_reenumeration(self):
         rng = random.Random(1234)
@@ -247,7 +238,7 @@ class TestIncrementalLengths:
             u, v = rng.choice(free)
             after = list(oracle.enumerate_cycles(
                 ChordedCycleGraph(n, tuple(sorted(chords + ((u, v),))))))
-            fresh = search._new_cycle_lengths(n, _partners(chords), u, v, _bits(before))
+            fresh = search._new_cycle_lengths(n, chords, u, v, _bits(before))
             repeats = oracle.has_repeated_length(after) is not None
             assert (fresh is None) == repeats, (n, chords, (u, v))
             if fresh is not None:
@@ -291,7 +282,7 @@ class TestIncrementalLengths:
                                    _bits([n, rng.choice(new)])))
                 expected = (None if len(set(new)) < len(new) or used & _bits(new)
                             else _bits(new))
-                found = search._new_cycle_lengths(n, _partners(chords), u, v, used)
+                found = search._new_cycle_lengths(n, chords, u, v, used)
                 assert found == expected, (n, chords, (u, v), _lengths(used))
                 assert found == _vertex_new_cycle_lengths(_adjacency(graph), u, v, used)
                 points = sorted(set(ends) | {u, v})
@@ -373,14 +364,14 @@ class TestForwardCheck:
                 continue
             used = _bits(spectrum)
             x, c = rng.sample(free, 2)
-            fresh_x = search._new_cycle_lengths(n, _partners(chords), *x, used)
-            fresh_c = search._new_cycle_lengths(n, _partners(chords), *c, used)
+            fresh_x = search._new_cycle_lengths(n, chords, *x, used)
+            fresh_c = search._new_cycle_lengths(n, chords, *c, used)
             if fresh_x is None or fresh_c is None:
                 continue
             pair = search._two_chord_lengths(n, c, x)
             known = fresh_c | pair
             child_used = used | fresh_x
-            found = search._new_cycle_lengths(n, _partners(chords + (x,)), *c, child_used)
+            found = search._new_cycle_lengths(n, chords + (x,), *c, child_used)
             if not pair or pair & fresh_c or child_used & known:
                 assert found is None, (n, chords, x, c)
                 outcomes["dropped"] += 1
@@ -395,7 +386,7 @@ class TestForwardCheck:
         roots = []
         for u, v in _chord_pool(n):
             arcs = 1 << (v - u + 1) ^ 1 << (n - v + u + 1)
-            assert arcs == (search._new_cycle_lengths(n, {}, u, v, 1 << n) or 0), (n, u, v)
+            assert arcs == (search._new_cycle_lengths(n, (), u, v, 1 << n) or 0), (n, u, v)
             if arcs:
                 roots.append(((u, v), arcs))
         # from n = 8 on, the root's first child {1, 3} passes the counting
@@ -421,7 +412,7 @@ class TestForwardCheck:
         # test: it keeps c exactly when the test on cycle + x passes, with
         # K(c) as the lengths that test finds
         bare = _bits([n])
-        roots = [(chord, search._new_cycle_lengths(n, {}, *chord, bare))
+        roots = [(chord, search._new_cycle_lengths(n, (), *chord, bare))
                  for chord in _chord_pool(n)]
         roots = [(chord, fresh) for chord, fresh in roots if fresh is not None]
         outcomes = Counter()
@@ -430,7 +421,7 @@ class TestForwardCheck:
             known = dict(search._child_pool(n, x, used, [root for root in roots if root[0] != x]))
             for c, _ in roots:
                 if c != x:
-                    found = search._new_cycle_lengths(n, _partners([x]), *c, used)
+                    found = search._new_cycle_lengths(n, (x,), *c, used)
                     assert known.get(c) == found, (n, x, c)
                     outcomes[found is None] += 1
         assert outcomes[True]
