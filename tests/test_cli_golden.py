@@ -58,7 +58,7 @@ def _command_lines() -> list[str]:
     lines += [f"exact-g {n} --format {fmt}"
               for n in (4, 8, 12, 13, 14, 15, 16, 17) for fmt in ("tsv", "json")]
     lines += [f"exact-g {n} --budget {budget} --format {fmt}"
-              for n, budget in ((12, 5), (16, 5000), (17, 500), (17, 5000))
+              for n, budget in ((12, 5), (12, 50), (16, 5000), (17, 200), (17, 500), (17, 5000))
               for fmt in ("tsv", "json")]
     lines += [f"table 9 --format {fmt}" for fmt in ("tsv", "json")]
     lines += [f"verify build-3.{fmt} --format {fmt}" for fmt in GRAPH_FORMATS]
