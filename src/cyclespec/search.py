@@ -7,9 +7,9 @@ so in its whole subtree: each node tests its candidates once and passes
 the survivors down.  A chord added to the cycle plus j chords closes at
 least j + 2 cycles (its two arcs, and a path through each chosen chord
 using no other), all of distinct lengths in 3..n-1, so k chords need
-k(k + 3)/2 <= n - 3.  Only subsets least in their orbit under the 2n
-dihedral relabelings are expanded (minimality is hereditary under removal
-of the largest chord).
+k(k + 3)/2 <= n - 3, strictly for k >= 3 (see ``chord_cap``).  Only
+subsets least in their orbit under the 2n dihedral relabelings are
+expanded (minimality is hereditary under removal of the largest chord).
 
 Forward check: a survivor c handed to the child that adds chord x keeps
 the cycles its test found, F(c), and gains the one or two cycles through
@@ -50,9 +50,20 @@ class ExactResult:
 
 
 def chord_cap(n: int) -> int:
-    """Largest k with k(k + 3)/2 <= n - 3, the most chords a repeat-free
-    n-cycle can carry."""
-    return (math.isqrt(8 * n - 15) - 3) // 2
+    """The most chords a repeat-free n-cycle can carry: the largest k with
+    k(k + 3)/2 <= n - 3, less one at zero slack, k(k + 3)/2 = n - 3, k >= 3.
+
+    k chords close at least 1 + k(k + 3)/2 cycles.  Equality needs chords
+    that do not cross (a crossing pair alone closes two cycles) and whose
+    k + 1 faces form a path in the dual tree: the cycles are its subtrees,
+    and among trees the path has the fewest (Szekely & Wang, 2005).  With
+    faces F(0)..F(k) in path order, the k + 2 marks Q(-1) = 0, Q(t) =
+    Q(t - 1) + |F(t)| - 2 span n - 2, and each cycle has length
+    Q(j) - Q(i - 1) + 2.  At zero slack every length 3..n occurs once, so
+    the marks form a perfect Golomb ruler, and none has more than 4 marks
+    (Golomb; Drakakis, 2009): k <= 2."""
+    k = (math.isqrt(8 * n - 15) - 3) // 2
+    return k - 1 if k >= 3 and k * (k + 3) == 2 * (n - 3) else k
 
 
 def _is_canonical(n: int, chords: list[tuple[int, int]]) -> bool:

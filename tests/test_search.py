@@ -76,19 +76,79 @@ def _chord_pool(n):
 
 
 def _sharp_bound(n):
-    """n + (sqrt(8n - 15) - 3)/2, the edge bound that ``search.chord_cap`` floors."""
+    """n + (sqrt(8n - 15) - 3)/2, the edge bound that ``counting_cap`` floors."""
     return n + (math.sqrt(8 * n - 15) - 3) / 2
+
+
+def counting_cap(n):
+    """Largest k with k(k + 3)/2 <= n - 3: the plain counting bound, without
+    the zero-slack cut of ``search.chord_cap``."""
+    return (math.isqrt(8 * n - 15) - 3) // 2
+
+
+def _crosses(first, second):
+    (a, b), (c, d) = first, second
+    return a < c < b < d or c < a < d < b
+
+
+def _separates(chord, first, second):
+    """Whether ``first`` and ``second``, neither crossing ``chord``, lie on
+    different sides of it (a side holds the chords with both ends on one
+    arc of ``chord``)."""
+    a, b = chord
+    return (a <= first[0] and first[1] <= b) != (a <= second[0] and second[1] <= b)
+
+
+def _faces_form_a_path(chords):
+    """Whether no two chords cross and, of every three, one separates the
+    other two: then the faces are the nodes of a path, joined by chords."""
+    return (not any(_crosses(x, y) for x, y in itertools.combinations(chords, 2))
+            and all(_separates(x, y, z) or _separates(y, x, z) or _separates(z, x, y)
+                    for x, y, z in itertools.combinations(chords, 3)))
+
+
+def zero_slack_lemma_mismatches(n_max, k_max=4):
+    """Check the lemma behind ``search.chord_cap`` on every chord set of at
+    most ``k_max`` chords on the n-cycle, n = 5..n_max: k chords close at
+    least 1 + k(k + 3)/2 cycles, and exactly that many when, and only when,
+    their faces form a path.  Returns the (n, chords, cycle count) that
+    break it, and how many sets reach the bound."""
+    mismatches = []
+    tight = 0
+    for n in range(5, n_max + 1):
+        pool = _chord_pool(n)
+        for k in range(k_max + 1):
+            least = 1 + k * (k + 3) // 2
+            for chords in itertools.combinations(pool, k):
+                count = len(oracle.enumerate_cycles(ChordedCycleGraph(n, chords)))
+                if count < least or (count == least) != _faces_form_a_path(chords):
+                    mismatches.append((n, chords, count))
+                tight += count == least
+    return mismatches, tight
 
 
 class TestHelpers:
     def test_chord_cap(self):
-        assert search.chord_cap(3) == 0
-        assert search.chord_cap(5) == 1
-        assert search.chord_cap(16) == 3
-        assert search.chord_cap(17) == 4
+        # the counting bound, one less at zero slack, k(k + 3)/2 = n - 3, k >= 3
+        zero_slack = []
         for n in range(3, 201):
-            k = search.chord_cap(n)
+            k = counting_cap(n)
             assert k * (k + 3) // 2 <= n - 3 < (k + 1) * (k + 4) // 2
+            if k >= 3 and k * (k + 3) // 2 == n - 3:
+                zero_slack.append(n)
+                assert search.chord_cap(n) == k - 1
+            else:
+                assert search.chord_cap(n) == k
+        assert zero_slack[:7] == [12, 17, 23, 30, 38, 47, 57]
+        assert len(zero_slack) == 16
+        # zero slack at k = 2: the uniquely pancyclic n = 8 reaches its cap
+        assert search.chord_cap(8) == 2 == search.exact_g(8).g_value - 8
+
+    def test_zero_slack_lemma(self):
+        # 28,808 chord sets for n = 5..9; the CI job runs n <= 11
+        mismatches, tight = zero_slack_lemma_mismatches(9)
+        assert mismatches == []
+        assert tight > 0
 
     def test_counting_lemma_on_random_chord_sets(self):
         # k chords on the n-cycle close at least 1 + k(k + 3)/2 cycles, repeats
@@ -586,7 +646,18 @@ class TestExactSearch:
         monkeypatch.setattr(search, "_child_pool", counting_child_pool)
         for n in (12, 17, 18):
             search.exact_g(n)
-        assert built == {12: 20, 17: 222, 18: 828}
+        assert built == {12: 2, 17: 3, 18: 828}
+
+    @pytest.mark.parametrize("n,nodes", [(12, 106), (17, 1068), (23, 17629)])
+    def test_counting_cap_gives_the_same_answers(self, n, nodes, monkeypatch):
+        # without the zero-slack cut the search refutes k chords itself,
+        # evidence for the lemma independent of its proof; CI runs n = 30
+        capped = search.exact_g(n)
+        monkeypatch.setattr(search, "chord_cap", counting_cap)
+        plain = search.exact_g(n)
+        assert plain.exhaustive
+        assert (plain.g_value, plain.witness.chords) == (capped.g_value, capped.witness.chords)
+        assert plain.nodes_explored == nodes > capped.nodes_explored
 
     def test_trivial_witnesses(self):
         assert search.exact_g(3).witness.chords == ()
