@@ -148,7 +148,7 @@ class TestHelpers:
         # 28,808 chord sets for n = 5..9; the CI job runs n <= 11
         mismatches, tight = zero_slack_lemma_mismatches(9)
         assert mismatches == []
-        assert tight > 0
+        assert tight == 2617
 
     def test_counting_lemma_on_random_chord_sets(self):
         # k chords on the n-cycle close at least 1 + k(k + 3)/2 cycles, repeats
