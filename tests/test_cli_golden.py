@@ -45,6 +45,8 @@ REFUSED = {
     "truncated-header.graph6": "~?@\n",
     "beyond-header.graph6": "~~??????\n",
     "no-hamilton-cycle.graph6": "Bo\n",  # triangle with the edge 2-3 cleared
+    "two-vertices.graph6": "A_\n",
+    "bad-character.graph6": "B!\n",
 }
 
 
