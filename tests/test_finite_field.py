@@ -227,6 +227,10 @@ class TestIrreducibles:
         assert ff.find_irreducible(GF2, 2) == (1, 1, 1)
         assert ff.find_irreducible(GF3, 2) == (1, 0, 1)
 
+    def test_degree_below_two_rejected(self):
+        with pytest.raises(ValueError, match="^degree must be at least 2$"):
+            ff.find_irreducible(GF2, 1)
+
     @pytest.mark.parametrize("q", sorted(CANONICAL))
     def test_canonical_tower_choices(self, q):
         modulus, cubic, primitive = CANONICAL[q]

@@ -48,6 +48,8 @@ class TestConstruction:
     def test_tiny_cycle_rejected(self):
         with pytest.raises(ValueError):
             graphs.ChordedCycleGraph(2)
+        with _raises("need at least 3 vertices"):
+            graphs.build_graph(2, ())
 
     def test_chord_validation(self):
         with _raises("bad chord (2, 2) on 6 vertices"):
