@@ -18,7 +18,7 @@ endpoints.  So before its own test, c is known to add K(c) = F(c) + T(c, x).
 The child drops c when K(c) repeats a length or meets one in use (its
 test would fail).  On the bare cycle K(c) is c's two arcs, and beside one
 chord it is all that c would add, so depths 0 and 1 run no path walk.
-Each cut is made once, in the parent, before the child costs anything.
+One gate decides whether a child is walked: ``_can_fit`` on its pool.
 """
 
 from __future__ import annotations
@@ -95,7 +95,11 @@ def _can_fit(pool: list[tuple[tuple[int, int], int]], need: int, free: int) -> b
     candidate is known to add.  Each later chord also closes a cycle
     through each earlier one, so the need smallest |K| plus C(need, 2) must
     fit, and for two or more chords some pair with disjoint K sets must
-    have |K_a| + |K_b| + 1 <= free."""
+    have |K_a| + |K_b| + 1 <= free.  So the child adding a chord beside
+    ``depth`` others never fits with fewer later survivors than need (its
+    pool is a subset of them), nor when need(2 depth + need + 5) > 2 free:
+    each K holds at least depth + 3 lengths, its fresh ones (at least
+    depth + 2) and a new two-chord one."""
     if len(pool) < need:
         return False
     ranked = sorted((known.bit_count(), known) for _, known in pool)
@@ -163,9 +167,9 @@ def _two_chord_lengths(n: int, first: tuple[int, int], second: tuple[int, int]) 
 def _child_pool(n: int, chord: tuple[int, int], used: int,
                 later: list[tuple[tuple[int, int], int]]) -> list[tuple[tuple[int, int], int]]:
     """The forward check: the pool of the child that adds ``chord``, built
-    once the child passes the counting bound, from the (candidate, fresh)
-    survivors after it.  A candidate keeps its fresh lengths and gains
-    T(candidate, chord); it is dropped when these repeat or meet ``used``."""
+    from the (candidate, fresh) survivors after it.  A candidate keeps its
+    fresh lengths and gains T(candidate, chord); it is dropped when these
+    repeat or meet ``used``."""
     pool = []
     for candidate, fresh in later:
         pair = _two_chord_lengths(n, chord, candidate)
@@ -231,22 +235,17 @@ def exact_g(n: int, budget: int = DEFAULT_NODE_BUDGET) -> ExactResult:
             if fresh is not None:
                 survivors.append((chord, fresh))
         for position, (chord, fresh) in enumerate(survivors):
-            if depth + len(survivors) - position <= len(best):
-                return
             if not _is_canonical(n, chosen + [chord]):
                 continue
             chosen.append(chord)
             used |= fresh
             if len(chosen) > len(best):
                 best = tuple(chosen)
-            free = n - 2 - used.bit_count()  # lengths in 3..n-1 not yet used
-            need = len(best) - depth  # chords the child needs to beat the incumbent
-            # a chord added to j chords closes at least j + 2 cycles; _can_fit
-            # implies this bound, checked first to spare building the pool
-            if need * (2 * depth + need + 5) <= 2 * free:
-                pool = _child_pool(n, chord, used, survivors[position + 1:])
-                if _can_fit(pool, need, free):
-                    walk(pool)
+            pool = _child_pool(n, chord, used, survivors[position + 1:])
+            # the child needs len(best) - depth chords to beat the incumbent,
+            # in the lengths 3..n-1 not yet used
+            if _can_fit(pool, len(best) - depth, n - 2 - used.bit_count()):
+                walk(pool)
             used ^= fresh
             chosen.pop()
             if truncated or len(best) == cap:

@@ -2,7 +2,9 @@
 
 import itertools
 import math
+import pathlib
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -11,16 +13,19 @@ from cyclespec import graphs, oracle, search
 from cyclespec.graphs import ChordedCycleGraph
 
 
-# maximum edge counts; n <= 9 re-derived below by a naive sweep
-KNOWN_G = {3: 3, 4: 4, 5: 6, 6: 7, 7: 8, 8: 10, 9: 11, 10: 12, 11: 13, 12: 14}
-# exact values beyond the golden CLI grid, with their least witnesses and
-# the nodes the search explores (frozen: a prune that moves them is a change
-# of the search, not a refactoring)
-LARGE_G = {18: (21, ((1, 3), (1, 5), (1, 9)), 2308),
-           19: (23, ((1, 3), (1, 6), (1, 12), (1, 14)), 378),
-           20: (24, ((1, 3), (1, 5), (1, 10), (1, 14)), 391),
-           21: (25, ((1, 3), (1, 6), (1, 13), (1, 15)), 517),
-           22: (26, ((1, 3), (1, 5), (1, 9), (1, 14)), 499)}
+# the README's table of exact values: n -> (g(n), least witness chords)
+README_ROWS = {
+    int(n): (int(g), tuple(tuple(map(int, chord.split(",")))
+                           for chord in re.findall(r"\{(\d+,\d+)\}", chords)))
+    for n, g, chords in re.findall(r"^\| (\d+) +\| (\d+) +\| (.*)\|$",
+                                   (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8"),
+                                   re.M)}
+# the nodes the search explores beyond the golden CLI grid (frozen: a prune
+# that moves them is a change of the search, not a refactoring); tier-1 runs
+# n <= 22, CI the rest
+FROZEN_NODES = {18: 2308, 19: 378, 20: 391, 21: 517, 22: 499, 23: 540, 24: 25047,
+                25: 42540, 26: 64937, 27: 2366, 28: 7112, 29: 1082, 30: 1263,
+                31: 796515, 38: 11774}
 
 
 def _repeat_free(anchors, n):
@@ -68,6 +73,29 @@ def _lengths(bits):
 def _star(n):
     """The chords {1, a} on the single-vertex optimum's anchors."""
     return tuple((1, a) for a in max_single_vertex_chords(n)[1])
+
+
+def check_readme_row(n):
+    """Run the exhaustive search at n and check it against its README row:
+    g(n) and the least witness, which is the star reference for n >= 4
+    (observed, not proved), the frozen node count, both edge bounds, and
+    the witness spectrum, re-derived by networkx, which repeats nothing."""
+    g_value, chords = README_ROWS[n]
+    result = search.exact_g(n)
+    assert result.exhaustive, n
+    assert (result.g_value, result.witness.chords) == (g_value, chords), (n, result)
+    assert result.witness.edge_count == g_value, n
+    if n >= 4:
+        assert chords == _star(n), n
+    if n in FROZEN_NODES:
+        assert result.nodes_explored == FROZEN_NODES[n], (n, result.nodes_explored)
+    assert g_value < n + math.sqrt(2 * n) + 1, n
+    assert g_value <= _sharp_bound(n), n
+    nx = pytest.importorskip("networkx")
+    graph = nx.Graph(list(result.witness.cycle_edges()) + list(chords))
+    lengths = sorted(len(cycle) for cycle in nx.simple_cycles(graph))
+    assert tuple(lengths) == oracle.enumerate_cycles(result.witness), (n, lengths)
+    assert len(set(lengths)) == len(lengths), (n, lengths)
 
 
 def _chord_pool(n):
@@ -163,7 +191,8 @@ class TestHelpers:
                 assert len(oracle.enumerate_cycles(graph)) >= 1 + k * (k + 3) // 2
 
     def test_every_known_value_is_within_the_cap(self):
-        for n, g_value in sorted(KNOWN_G.items()) + [(n, g) for n, (g, _, _) in LARGE_G.items()]:
+        assert sorted(README_ROWS) == [*range(3, 32), 38]
+        for n, (g_value, _) in README_ROWS.items():
             assert g_value - n <= search.chord_cap(n)
             assert g_value <= _sharp_bound(n)
 
@@ -449,8 +478,8 @@ class TestForwardCheck:
             assert arcs == (search._new_cycle_lengths(n, (), u, v, 1 << n) or 0), (n, u, v)
             if arcs:
                 roots.append(((u, v), arcs))
-        # from n = 8 on, the root's first child {1, 3} passes the counting
-        # bound and is handed every later survivor, with its K as fresh
+        # from n = 5 on, the root's first child {1, 3} is handed every
+        # later survivor, with its K as fresh
         handed = []
 
         def first_child_pool(n, chord, used, later):
@@ -458,7 +487,7 @@ class TestForwardCheck:
             raise _FirstChild
 
         monkeypatch.setattr(search, "_child_pool", first_child_pool)
-        if n < 8:
+        if n < 5:
             search.exact_g(n)
         else:
             with pytest.raises(_FirstChild):
@@ -598,12 +627,10 @@ def _naive_g(n):
 
 
 class TestExactSearch:
-    @pytest.mark.parametrize("n,expected", sorted(KNOWN_G.items()))
-    def test_known_values(self, n, expected):
-        result = search.exact_g(n)
-        assert result.exhaustive
-        assert result.g_value == expected
-        assert result.witness.edge_count == expected
+    @pytest.mark.parametrize("n", [n for n in sorted(README_ROWS) if n <= 22])
+    def test_readme_row(self, n):
+        # n = 23..31 and 38 take up to about 30 s each; CI checks them
+        check_readme_row(n)
 
     @pytest.mark.parametrize("n", range(3, 10))
     def test_agrees_with_naive_sweep(self, n):
@@ -617,36 +644,25 @@ class TestExactSearch:
         assert pruned.witness.chords == witness  # both lexicographically least
         assert pruned.nodes_explored <= nodes
 
-    @pytest.mark.parametrize("n", sorted(LARGE_G))
-    def test_large_values(self, n):
-        g_value, chords, nodes = LARGE_G[n]
-        result = search.exact_g(n)
-        assert result.exhaustive
-        assert (result.g_value, result.witness.chords) == (g_value, chords)
-        assert result.nodes_explored == nodes
-        assert g_value < n + math.sqrt(2 * n) + 1
-        assert g_value <= _sharp_bound(n)
-        nx = pytest.importorskip("networkx")
-        graph = nx.Graph(list(result.witness.cycle_edges()) + list(chords))
-        lengths = sorted(len(cycle) for cycle in nx.simple_cycles(graph))
-        assert tuple(lengths) == oracle.enumerate_cycles(result.witness)
-        assert len(set(lengths)) == len(lengths)
-
-    def test_pools_are_built_only_past_the_counting_bound(self, monkeypatch):
-        # _can_fit's sum test implies the counting bound (each K holds at
-        # least depth + 2 lengths), so that bound moves no node count; it
-        # spares the pools of children it cuts, and these counts pin that
-        built = Counter()
-        child_pool = search._child_pool
-
-        def counting_child_pool(n, *args):
-            built[n] += 1
-            return child_pool(n, *args)
-
-        monkeypatch.setattr(search, "_child_pool", counting_child_pool)
-        for n in (12, 17, 18):
-            search.exact_g(n)
-        assert built == {12: 2, 17: 3, 18: 828}
+    def test_can_fit_implies_the_plainer_cuts(self):
+        # the walk's one gate: a child with fewer candidates than the chords
+        # it needs, or whose K sets of at least depth + 3 lengths each break
+        # the counting bound, never fits
+        rng = random.Random(2309)
+        seen = Counter()
+        for _ in range(20000):
+            n = rng.randrange(8, 40)
+            depth = rng.randrange(0, min(5, n - 5))
+            pool = [((1, 3 + index), _bits(rng.sample(range(3, n), rng.randrange(depth + 3, n - 2))))
+                    for index in range(rng.randrange(0, 8))]
+            need = rng.randrange(1, 6)
+            free = rng.randrange(0, n - 2)
+            short = len(pool) < need
+            over = need * (2 * depth + need + 5) > 2 * free
+            fits = search._can_fit(pool, need, free)
+            assert not (fits and (short or over)), (n, depth, pool, need, free)
+            seen[short, over, fits] += 1
+        assert min(seen[True, False, False], seen[False, True, False], seen[False, False, True]) >= 100, seen
 
     @pytest.mark.parametrize("n,nodes", [(12, 106), (17, 1068), (23, 17629)])
     def test_counting_cap_gives_the_same_answers(self, n, nodes, monkeypatch):
@@ -778,13 +794,6 @@ class TestSingleVertexChords:
             size, witness = max_single_vertex_chords(n)
             assert size <= math.isqrt(n) + 2
             assert oracle.is_sidon(witness) or size < 2
-
-    @pytest.mark.parametrize("n", range(4, 23))
-    def test_star_is_the_least_maximum_witness(self, n):
-        # observed, not proved: the exhaustive search's least witness is the
-        # single-vertex optimum for n = 4..30 (23 to 30 take up to about
-        # 20 s, so CI checks them outside these tests)
-        assert search.exact_g(n).witness.chords == _star(n)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
