@@ -13,13 +13,12 @@ from cyclespec import graphs, oracle, search
 from cyclespec.graphs import ChordedCycleGraph
 
 
+README = pathlib.Path(__file__).parents[1] / "README.md"
 # the README's table of exact values: n -> (g(n), least witness chords)
-README_ROWS = {
-    int(n): (int(g), tuple(tuple(map(int, chord.split(",")))
-                           for chord in re.findall(r"\{(\d+,\d+)\}", chords)))
-    for n, g, chords in re.findall(r"^\| (\d+) +\| (\d+) +\| (.*)\|$",
-                                   (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8"),
-                                   re.M)}
+README_ROWS = {int(n): (int(g), tuple(tuple(map(int, chord.split(",")))
+                                      for chord in re.findall(r"\{(\d+,\d+)\}", chords)))
+               for n, g, chords in re.findall(r"^\| (\d+) +\| (\d+) +\| (.*)\|$",
+                                              README.read_text(encoding="utf-8"), re.M)}
 # the nodes the search explores beyond the golden CLI grid (frozen: a prune
 # that moves them is a change of the search, not a refactoring); tier-1 runs
 # n <= 22, CI the rest
@@ -629,7 +628,7 @@ def _naive_g(n):
 class TestExactSearch:
     @pytest.mark.parametrize("n", [n for n in sorted(README_ROWS) if n <= 22])
     def test_readme_row(self, n):
-        # n = 23..31 and 38 take up to about 30 s each; CI checks them
+        # CI checks n = 23..31 and 38, which take up to about 30 s (n = 31)
         check_readme_row(n)
 
     @pytest.mark.parametrize("n", range(3, 10))
