@@ -48,6 +48,8 @@ class TestConstruction:
     def test_tiny_cycle_rejected(self):
         with pytest.raises(ValueError):
             graphs.ChordedCycleGraph(2)
+
+    def test_build_graph_needs_three_vertices(self):
         with _raises("need at least 3 vertices"):
             graphs.build_graph(2, ())
 

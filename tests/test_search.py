@@ -663,6 +663,45 @@ class TestExactSearch:
             seen[short, over, fits] += 1
         assert min(seen[True, False, False], seen[False, True, False], seen[False, False, True]) >= 100, seen
 
+    @pytest.mark.parametrize("n", range(5, 23))
+    def test_walk_gate_covers_the_removed_cuts(self, n, monkeypatch):
+        # the same implication on the pools the walk really builds: every K
+        # holds at least depth + 3 lengths, the pool is a subset of the later
+        # survivors, and a child cut by the survivor count (fewer later
+        # survivors than need) or the counting bound never passes _can_fit;
+        # _is_canonical sees each child, chosen + [chord], just before its pool
+        # (at n = 12 and 17 no child meets either removed cut)
+        is_canonical, child_pool, can_fit = search._is_canonical, search._child_pool, search._can_fit
+        child = {}
+        cuts = Counter()
+
+        def recording_is_canonical(n, chords):
+            child["depth"] = len(chords) - 1
+            return is_canonical(n, chords)
+
+        def recording_child_pool(n, chord, used, later):
+            pool = child_pool(n, chord, used, later)
+            assert {candidate for candidate, _ in pool} <= {candidate for candidate, _ in later}
+            child["later"] = len(later)
+            return pool
+
+        def checked_can_fit(pool, need, free):
+            depth = child["depth"]
+            assert all(known.bit_count() >= depth + 3 for _, known in pool), (n, depth, pool)
+            fits = can_fit(pool, need, free)
+            survivor_cut = child["later"] < need
+            counting_cut = need * (2 * depth + need + 5) > 2 * free
+            assert not (fits and (survivor_cut or counting_cut)), (n, depth, pool, need, free)
+            cuts[survivor_cut or counting_cut] += 1
+            return fits
+
+        monkeypatch.setattr(search, "_is_canonical", recording_is_canonical)
+        monkeypatch.setattr(search, "_child_pool", recording_child_pool)
+        monkeypatch.setattr(search, "_can_fit", checked_can_fit)
+        assert search.exact_g(n).exhaustive
+        assert cuts.total() >= 1, cuts
+        assert (cuts[True] == 0) == (n in (12, 17)), cuts
+
     @pytest.mark.parametrize("n,nodes", [(12, 106), (17, 1068), (23, 17629)])
     def test_counting_cap_gives_the_same_answers(self, n, nodes, monkeypatch):
         # without the zero-slack cut the search refutes k chords itself,

@@ -235,6 +235,8 @@ class TestVerifier:
             singer.PerfectDifferenceSet(7, (1, 1, 4))
         with pytest.raises(ValueError):
             singer.PerfectDifferenceSet(7, (1, 2, 7))
+
+    def test_zero_modulus_rejected(self):
         with pytest.raises(ValueError, match="^modulus must be positive$"):
             singer.PerfectDifferenceSet(0, ())
 
