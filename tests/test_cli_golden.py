@@ -65,7 +65,7 @@ def _command_lines() -> list[str]:
     lines += [f"table 9 --format {fmt}" for fmt in ("tsv", "json")]
     lines += [f"verify build-3.{fmt} --format {fmt}" for fmt in GRAPH_FORMATS]
     lines += ["verify repeated.edgelist",
-              "singer 6", "table 1", "spectrum 2 --budget 2"]
+              "singer 6", "table 1", "spectrum 2 --budget 2", "exact-g 63"]
     lines += [f"verify {name} --format {name.rsplit('.', 1)[1]}" for name in REFUSED]
     # which refusal wins when q, n and the budget are all bad
     lines += ["derive 6", "build 1", "spectrum 0", "singer -5",
