@@ -116,12 +116,12 @@ def is_sidon(values) -> bool:
 def crossing_pairs(graph: ChordedCycleGraph) -> int:
     """Chord pairs whose endpoints strictly interleave around the cycle.
 
-    With endpoints normalized ascending, {a, b} and {c, d} cross exactly
-    when a < c < b < d or c < a < d < b; sharing an endpoint never counts.
+    The chords are normalized and sorted, so each pair has a <= c: {a, b}
+    and {c, d} cross exactly when a < c < b < d.  A shared endpoint never counts.
     """
     count = 0
     for (a, b), (c, d) in itertools.combinations(graph.chords, 2):
-        if a < c < b < d or c < a < d < b:
+        if a < c < b < d:
             count += 1
     return count
 
