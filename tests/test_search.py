@@ -21,10 +21,13 @@ README_ROWS = {int(n): (int(g), tuple(tuple(map(int, chord.split(",")))
                                               README.read_text(encoding="utf-8"), re.M)}
 # the nodes the search explores beyond the golden CLI grid (frozen: a prune
 # that moves them is a change of the search, not a refactoring); tier-1 runs
-# n <= 22, CI the rest
+# n <= 22, tests/long_checks.py the rest
 FROZEN_NODES = {18: 2308, 19: 378, 20: 391, 21: 517, 22: 499, 23: 540, 24: 25047,
                 25: 42540, 26: 64937, 27: 2366, 28: 7112, 29: 1082, 30: 1263,
                 31: 796515, 38: 11774}
+# the nodes at zero-slack n under the plain counting cap, without the cut of
+# ``search.chord_cap``; tier-1 runs n <= 23, tests/long_checks.py n = 30
+PLAIN_CAP_NODES = {12: 106, 17: 1068, 23: 17629, 30: 465707}
 
 
 def _repeat_free(anchors, n):
@@ -48,15 +51,6 @@ def dihedral_maps(n):
         maps.append(tuple(rotation))
         maps.append(tuple(reflection))
     return maps
-
-
-def _adjacency(graph):
-    """Sorted neighbour tuple of every vertex of a chorded cycle graph."""
-    neighbors = {v: set() for v in range(1, graph.n + 1)}
-    for u, v in graph.cycle_edges() + list(graph.chords):
-        neighbors[u].add(v)
-        neighbors[v].add(u)
-    return {v: tuple(sorted(ns)) for v, ns in neighbors.items()}
 
 
 def _bits(lengths):
@@ -95,6 +89,19 @@ def check_readme_row(n):
     lengths = sorted(len(cycle) for cycle in nx.simple_cycles(graph))
     assert tuple(lengths) == oracle.enumerate_cycles(result.witness), (n, lengths)
     assert len(set(lengths)) == len(lengths), (n, lengths)
+
+
+def check_counting_cap(n, monkeypatch):
+    """Without the zero-slack cut the search refutes k chords itself,
+    evidence for the lemma independent of its proof: the plain counting cap
+    gives the same g and witness as ``search.chord_cap`` at n, in
+    ``PLAIN_CAP_NODES[n]`` nodes, more than the cut takes."""
+    capped = search.exact_g(n)
+    monkeypatch.setattr(search, "chord_cap", counting_cap)
+    plain = search.exact_g(n)
+    assert plain.exhaustive
+    assert (plain.g_value, plain.witness.chords) == (capped.g_value, capped.witness.chords)
+    assert plain.nodes_explored == PLAIN_CAP_NODES[n] > capped.nodes_explored
 
 
 def _chord_pool(n):
@@ -172,7 +179,7 @@ class TestHelpers:
         assert search.chord_cap(8) == 2 == search.exact_g(8).g_value - 8
 
     def test_zero_slack_lemma(self):
-        # 28,808 chord sets for n = 5..9; the CI job runs n <= 11
+        # 28,808 chord sets for n = 5..9; tests/long_checks.py runs n <= 11
         mismatches, tight = zero_slack_lemma_mismatches(9)
         assert mismatches == []
         assert tight == 2617
@@ -339,6 +346,7 @@ class TestIncrementalLengths:
         # are the spectrum it adds, the multiset difference of the two
         # enumerations, and the test fails exactly when they repeat or meet
         # a used length
+        from test_oracle import _adjacency  # not at the top: test_oracle imports this module
         rng = random.Random(3041)
         seen = Counter()
         for n in range(5, 41):
@@ -628,7 +636,7 @@ def _naive_g(n):
 class TestExactSearch:
     @pytest.mark.parametrize("n", [n for n in sorted(README_ROWS) if n <= 22])
     def test_readme_row(self, n):
-        # CI checks n = 23..31 and 38, which take up to about 30 s (n = 31)
+        # tests/long_checks.py runs n = 23..31 and 38, up to about 30 s (n = 31)
         check_readme_row(n)
 
     @pytest.mark.parametrize("n", range(3, 10))
@@ -702,16 +710,19 @@ class TestExactSearch:
         assert cuts.total() >= 1, cuts
         assert (cuts[True] == 0) == (n in (12, 17)), cuts
 
-    @pytest.mark.parametrize("n,nodes", [(12, 106), (17, 1068), (23, 17629)])
-    def test_counting_cap_gives_the_same_answers(self, n, nodes, monkeypatch):
-        # without the zero-slack cut the search refutes k chords itself,
-        # evidence for the lemma independent of its proof; CI runs n = 30
-        capped = search.exact_g(n)
-        monkeypatch.setattr(search, "chord_cap", counting_cap)
-        plain = search.exact_g(n)
-        assert plain.exhaustive
-        assert (plain.g_value, plain.witness.chords) == (capped.g_value, capped.witness.chords)
-        assert plain.nodes_explored == nodes > capped.nodes_explored
+    @pytest.mark.parametrize("n", [n for n in PLAIN_CAP_NODES if n <= 23])
+    def test_counting_cap_gives_the_same_answers(self, n, monkeypatch):
+        check_counting_cap(n, monkeypatch)
+
+    def test_readme_quotes_the_node_counts(self):
+        # the search bullet's node counts, each where it is frozen, so a
+        # change of the search that moves one must update the README too
+        bullet = re.search(r"^- `search`:.*?(?=^- )", README.read_text(encoding="utf-8"),
+                           re.M | re.S).group()
+        quoted = set(re.findall(r"\d{1,3}(?:,\d{3})*", bullet))
+        counts = [search.exact_g(17).nodes_explored, *(PLAIN_CAP_NODES[n] for n in (17, 23, 30)),
+                  *(FROZEN_NODES[n] for n in (23, 30, 31, 38))]
+        assert {f"{count:,}" for count in counts} <= quoted, quoted
 
     def test_trivial_witnesses(self):
         assert search.exact_g(3).witness.chords == ()
