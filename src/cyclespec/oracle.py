@@ -1,8 +1,7 @@
 """Ground truth by brute force.
 
 Enumerates every simple cycle of a chorded cycle graph independently of the
-closed-form census, checks the Sidon consequence on anchor sets, and
-evaluates the two chord-pair counting bounds.
+closed-form census, and evaluates the two chord-pair counting bounds.
 """
 
 from __future__ import annotations
@@ -18,12 +17,11 @@ DEFAULT_CYCLE_BUDGET = 10 ** 6
 
 
 class BudgetExceeded(RuntimeError):
-    """Cycle enumeration passed its budget; carries the partial count."""
+    """Cycle enumeration passed its budget: ``budget`` cycles were found."""
 
-    def __init__(self, budget: int, partial: int):
-        super().__init__(f"cycle budget {budget} exceeded; {partial} cycles found")
+    def __init__(self, budget: int):
+        super().__init__(f"cycle budget {budget} exceeded; {budget} cycles found")
         self.budget = budget
-        self.partial = partial
 
 
 class InternalInconsistency(RuntimeError):
@@ -78,7 +76,7 @@ def enumerate_cycles(graph: ChordedCycleGraph,
                 vertex, seen, total = stack.pop()
                 for back in closing.get(vertex, ()):
                     if len(lengths) >= budget:
-                        raise BudgetExceeded(budget, len(lengths))
+                        raise BudgetExceeded(budget)
                     lengths.append(total + back)
                 if targets & ~seen:  # some way back to start still open
                     for other, bit, step in steps[vertex]:
@@ -97,20 +95,6 @@ def has_repeated_length(lengths: Iterable[int]) -> int | None:
             return length
         previous = length
     return None
-
-
-def is_sidon(values) -> bool:
-    """True when all sums of two distinct elements are distinct.
-
-    A sum reusing one element twice is not counted.
-    """
-    ordered = sorted(values)
-    if len(set(ordered)) != len(ordered):
-        raise ValueError("elements must be distinct")
-    if ordered and ordered[0] < 1:
-        raise ValueError("elements must be positive")
-    sums = [a + b for a, b in itertools.combinations(ordered, 2)]
-    return len(set(sums)) == len(sums)
 
 
 def crossing_pairs(graph: ChordedCycleGraph) -> int:

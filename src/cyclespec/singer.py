@@ -4,7 +4,6 @@ The construction walks the powers of a primitive element g of GF(q^3) and
 keeps the exponents whose top coordinate over GF(q) vanishes.  As g^n lies in
 GF(q)*, that pattern repeats with period n; one period holds q + 1 such
 exponents, and their ordered differences hit every nonzero residue once.
-A brute-force backtracking search over Z_n is an independent existence oracle.
 """
 
 from __future__ import annotations
@@ -96,52 +95,3 @@ def verify_perfect_difference_set(candidate: PerfectDifferenceSet) -> bool:
             return False
         seen[difference] = 1
     return 0 not in seen
-
-
-def brute_force_difference_set(n: int, k: int) -> PerfectDifferenceSet | None:
-    """Lexicographically first perfect difference set of size k in Z_n, or None.
-
-    Backtracking over increasing residue lists starting at 0 (every perfect
-    difference set has a translate through 0, so the lexicographic minimum
-    starts there), pruning as soon as an ordered difference repeats.  Kept
-    free of field machinery so it can cross-check the algebraic construction.
-    """
-    if k < 1 or k * (k - 1) > n - 1:
-        raise ValueError("need 1 <= k and k*(k-1) <= n-1")
-
-    chosen = [0]
-    used: set[int] = set()
-
-    def differences_with(candidate: int) -> list[int] | None:
-        fresh: list[int] = []
-        for a in chosen:
-            forward = (candidate - a) % n
-            backward = (a - candidate) % n
-            if forward == backward:  # residue n/2 would be covered twice
-                return None
-            if (forward in used or backward in used
-                    or forward in fresh or backward in fresh):
-                return None
-            fresh.append(forward)
-            fresh.append(backward)
-        return fresh
-
-    def search(lowest: int) -> PerfectDifferenceSet | None:
-        if len(chosen) == k:
-            if len(used) == n - 1:
-                return PerfectDifferenceSet(n, tuple(chosen))
-            return None
-        for candidate in range(lowest, n):
-            fresh = differences_with(candidate)
-            if fresh is None:
-                continue
-            chosen.append(candidate)
-            used.update(fresh)
-            found = search(candidate + 1)
-            if found is not None:
-                return found
-            used.difference_update(fresh)
-            chosen.pop()
-        return None
-
-    return search(1)

@@ -16,7 +16,8 @@ import networkx  # noqa: F401
 import pytest
 
 from cyclespec import singer
-from test_finite_field import choices, reference_choices
+from references import reference_choices
+from test_finite_field import choices
 from test_oracle import cross_check_enumerators
 from test_search import (FROZEN_NODES, PLAIN_CAP_NODES, check_counting_cap, check_readme_row,
                          zero_slack_lemma_mismatches)

@@ -5,16 +5,16 @@ Every criterion holds exactly (no tolerances beyond the stated 1e-9 float
 comparison in criterion 3).
 """
 
+import functools
 import math
 import random
 import time
 from fractions import Fraction
 
 from cyclespec import cycleset, graphs, oracle, search, singer
+from references import brute_force_difference_set, census_repeat, is_sidon
 
 PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9, 11, 13]
-
-_CACHE: dict = {}
 
 
 def _criterion(number, label, body):
@@ -26,20 +26,19 @@ def _criterion(number, label, body):
     print(f"criterion {number} {label}: PASS")
 
 
+@functools.cache
 def _pipeline():
-    """Build and enumerate all nine constructions once; reused downstream."""
-    if "pipeline" not in _CACHE:
-        started = time.monotonic()
-        rows = []
-        for q in PRIME_POWERS:
-            diffset = singer.singer_difference_set(q)
-            trace = cycleset.derive_cycle_set_trace(diffset)
-            graph = graphs.build_graph(diffset.n, trace.anchors)
-            spectrum = oracle.enumerate_cycles(graph)
-            rows.append((q, diffset, trace, graph, spectrum))
-        _CACHE["pipeline"] = rows
-        _CACHE["pipeline_seconds"] = time.monotonic() - started
-    return _CACHE["pipeline"]
+    """All nine constructions, built and enumerated once, and the seconds
+    the first build took; every criterion that reads them shares them."""
+    started = time.monotonic()
+    rows = []
+    for q in PRIME_POWERS:
+        diffset = singer.singer_difference_set(q)
+        trace = cycleset.derive_cycle_set_trace(diffset)
+        graph = graphs.build_graph(diffset.n, trace.anchors)
+        spectrum = oracle.enumerate_cycles(graph)
+        rows.append((q, diffset, trace, graph, spectrum))
+    return tuple(rows), time.monotonic() - started
 
 
 def _random_valid_sets(seed, count, minimum_size=0):
@@ -50,45 +49,52 @@ def _random_valid_sets(seed, count, minimum_size=0):
         n = rng.randrange(7, 41)
         size = rng.randrange(minimum_size, 5)
         anchors = tuple(sorted(rng.sample(range(3, n), size)))
-        if oracle.has_repeated_length(graphs.predicted_spectrum(n, anchors)) is None:
+        if census_repeat(anchors, n) is None:
             found.append((n, anchors))
     return found
 
 
+@functools.cache
+def _random_graphs():
+    """500 random repeat-free star graphs, n <= 40, as (anchors, graph,
+    enumerated spectrum)."""
+    rows = []
+    for n, anchors in _random_valid_sets(seed=202, count=500):
+        graph = graphs.build_graph(n, anchors)
+        rows.append((anchors, graph, oracle.enumerate_cycles(graph)))
+    return tuple(rows)
+
+
+@functools.cache
 def _search_results():
-    if "search" not in _CACHE:
-        started = time.monotonic()
-        _CACHE["search"] = [search.exact_g(n) for n in range(3, 13)]
-        _CACHE["search_seconds"] = time.monotonic() - started
-    return _CACHE["search"]
+    """Exact g for n = 3..12, and the seconds the first search took."""
+    started = time.monotonic()
+    results = tuple(search.exact_g(n) for n in range(3, 13))
+    return results, time.monotonic() - started
 
 
 def test_criterion_1_construction_pipeline():
     def body():
-        for q, diffset, trace, graph, spectrum in _pipeline():
+        rows, seconds = _pipeline()
+        for q, diffset, trace, graph, spectrum in rows:
             n = q * q + q + 1
             assert diffset.n == n
             assert graph.n == n
             assert graph.edge_count == q * q + 2 * q
             assert n in spectrum
             assert oracle.has_repeated_length(spectrum) is None
-        assert _CACHE["pipeline_seconds"] < 10.0
+        assert seconds < 10.0
     _criterion(1, "difference-set pipeline, nine prime powers", body)
 
 
 def test_criterion_2_census_equals_enumeration():
     def body():
-        for q, diffset, trace, graph, spectrum in _pipeline():
+        for q, diffset, trace, graph, spectrum in _pipeline()[0]:
             predicted = graphs.predicted_spectrum(diffset.n, trace.anchors)
             assert predicted == spectrum
-        extra = []
-        for n, anchors in _random_valid_sets(seed=202, count=500):
-            graph = graphs.build_graph(n, anchors)
-            predicted = graphs.predicted_spectrum(n, anchors)
-            enumerated = oracle.enumerate_cycles(graph)
-            assert predicted == enumerated, (n, anchors)
-            extra.append((graph, enumerated))
-        _CACHE["random_graphs"] = extra
+        for anchors, graph, enumerated in _random_graphs():
+            predicted = graphs.predicted_spectrum(graph.n, anchors)
+            assert predicted == enumerated, (graph.n, anchors)
     _criterion(2, "closed-form census equals enumeration", body)
 
 
@@ -105,15 +111,15 @@ def test_criterion_3_bound_identity():
 def test_criterion_4_counting_bounds_everywhere():
     def body():
         seen = 0
-        for q, diffset, trace, graph, spectrum in _pipeline():
+        for q, diffset, trace, graph, spectrum in _pipeline()[0]:
             report = oracle.bound_report(graph, spectrum)  # raises on violation
             assert report["pair_bound_ok"] and report["crossing_bound_ok"]
             seen += 1
-        for graph, spectrum in _CACHE.get("random_graphs", []):
+        for _, graph, spectrum in _random_graphs():
             report = oracle.bound_report(graph, spectrum)
             assert report["pair_bound_ok"] and report["crossing_bound_ok"]
             seen += 1
-        for result in _search_results():
+        for result in _search_results()[0]:
             spectrum = oracle.enumerate_cycles(result.witness)
             report = oracle.bound_report(result.witness, spectrum)
             assert report["pair_bound_ok"] and report["crossing_bound_ok"]
@@ -124,8 +130,8 @@ def test_criterion_4_counting_bounds_everywhere():
 
 def test_criterion_5_exact_search_soundness():
     def body():
-        results = _search_results()
-        assert _CACHE["search_seconds"] < 300.0
+        results, seconds = _search_results()
+        assert seconds < 300.0
         for result in results:
             assert result.exhaustive
             assert result.g_value < result.n + math.sqrt(2 * result.n) + 1
@@ -144,17 +150,17 @@ def test_criterion_5_exact_search_soundness():
 def test_criterion_6_sidon_consequence():
     def body():
         for n, anchors in _random_valid_sets(seed=606, count=200, minimum_size=2):
-            assert oracle.is_sidon(anchors), (n, anchors)
+            assert is_sidon(anchors), (n, anchors)
     _criterion(6, "distinct cycle sets are Sidon", body)
 
 
 def test_criterion_7_difference_set_verification():
     def body():
-        for q, diffset, trace, graph, spectrum in _pipeline():
+        for q, diffset, trace, graph, spectrum in _pipeline()[0]:
             assert singer.verify_perfect_difference_set(diffset)
         for q in (2, 3):
             algebraic = singer.singer_difference_set(q)
-            independent = singer.brute_force_difference_set(algebraic.n, algebraic.k)
+            independent = brute_force_difference_set(algebraic.n, algebraic.k)
             assert independent is not None
             assert independent.k == algebraic.k
             assert singer.verify_perfect_difference_set(independent)
@@ -163,7 +169,7 @@ def test_criterion_7_difference_set_verification():
 
 def test_criterion_8_derivation_exactness():
     def body():
-        for q, diffset, trace, graph, spectrum in _pipeline():
+        for q, diffset, trace, graph, spectrum in _pipeline()[0]:
             assert len(trace.anchors) == q - 1
             assert 2 in trace.shifted
             assert diffset.n in trace.shifted

@@ -6,12 +6,9 @@ import random
 import pytest
 
 from cyclespec import cycleset, graphs, oracle, singer
+from references import census_repeat, translate
 
 PERFECT = "need a perfect difference set of at least 3 elements"
-
-
-def _translate(d, shift):
-    return singer.PerfectDifferenceSet(d.n, tuple(sorted((a - shift) % d.n for a in d.elements)))
 
 
 class TestDerivation:
@@ -63,7 +60,7 @@ class TestDerivation:
             diffset = singer.singer_difference_set(q)
             baseline = cycleset.derive_cycle_set(diffset)
             for _ in range(10):
-                moved = _translate(diffset, rng.randrange(diffset.n))
+                moved = translate(diffset, rng.randrange(diffset.n))
                 assert cycleset.derive_cycle_set(moved) == baseline
 
     def test_census_check_goes_through_module_attributes(self, monkeypatch):
@@ -73,44 +70,39 @@ class TestDerivation:
             cycleset.derive_cycle_set(singer.PerfectDifferenceSet(13, (0, 1, 3, 9)))
 
 
-def _repeat(anchors, n):
-    """The smallest length the census of ``anchors`` on the n-cycle repeats."""
-    return oracle.has_repeated_length(graphs.predicted_spectrum(n, anchors))
-
-
 class TestVerifier:
     """Each way anchors can fail shows as the census repeating a length."""
 
     def test_accepts_valid_sets(self):
-        assert _repeat([8, 12], 13) is None
-        assert _repeat([6], 7) is None
-        assert _repeat([], 7) is None
+        assert census_repeat([8, 12], 13) is None
+        assert census_repeat([6], 7) is None
+        assert census_repeat([], 7) is None
 
     def test_range_violation(self):
         with pytest.raises(ValueError, match="chord anchor 2 must lie in 3..6"):
-            _repeat([2, 6], 7)
+            census_repeat([2, 6], 7)
         with pytest.raises(ValueError, match="chord anchor 7 must lie in 3..6"):
-            _repeat([3, 7], 7)
+            census_repeat([3, 7], 7)
 
     def test_duplicate_counts_as_range(self):
         with pytest.raises(ValueError, match="duplicate anchors"):
-            _repeat([5, 5], 20)
+            census_repeat([5, 5], 20)
 
     def test_repeated_difference(self):
         # 4 - 3 == 5 - 4: both gaps are 3, as is the anchor 3
-        assert _repeat([3, 4, 5], 20) == 3
+        assert census_repeat([3, 4, 5], 20) == 3
 
     def test_complement_overlap(self):
         # 9 = 20 + 2 - 13
-        assert _repeat([9, 13], 20) == 9
+        assert census_repeat([9, 13], 20) == 9
 
     def test_self_complementary_anchor(self):
-        assert _repeat([7], 12) == 7
+        assert census_repeat([7], 12) == 7
 
     def test_gap_overlap(self):
         # gap 9 - 8 + 2 = 3 collides with the anchor 3, gap 9 - 3 + 2 with 8
-        assert _repeat([3, 8, 9], 30) == 3
+        assert census_repeat([3, 8, 9], 30) == 3
 
     def test_complement_gap_overlap(self):
         # gap 9 - 3 + 2 = 8 equals complement 20 + 2 - 14
-        assert _repeat([3, 9, 14], 20) == 8
+        assert census_repeat([3, 9, 14], 20) == 8

@@ -3,30 +3,21 @@ the q x q table field it replaced."""
 
 import itertools
 import random
-from typing import NamedTuple
 
 import pytest
 
 from cyclespec import finite_field as ff
 from cyclespec import singer
+from references import (Tables, element_order, extension, index_of, naive_product,
+                        naive_triple_product, poly_mod, poly_mul, reference_choices,
+                        reference_primitive, reference_tower, table_extension, table_irreducible,
+                        table_prime_field, tables, tower)
 
 
 GF2 = ff.prime_field(2)
 GF3 = ff.prime_field(3)
 GF7 = ff.prime_field(7)
 PRIME_POWERS_TO_64 = [q for q in range(2, 65) if len(ff.factorize(q)) == 1]
-
-
-def _extension(p, degree):
-    base = ff.prime_field(p)
-    return ff.extend(base, ff.find_irreducible(base, degree))
-
-
-def _tower(q):
-    """(GF(q), GF(q^3) over it) the way the Singer construction builds them."""
-    (p, m), = ff.factorize(q)
-    mid = ff.prime_field(p) if m == 1 else ff.logarithms(_extension(p, m))
-    return mid, ff.extend(mid, ff.find_irreducible(mid, 3))
 
 
 # q -> (GF(q) modulus over GF(p) or None for prime q, cubic over GF(q), index
@@ -45,149 +36,16 @@ CANONICAL = {
 }
 
 
-# ------------------------------------------------------------- reference
-# The table field that finite_field's arithmetic mod p and O(q) log tables
-# replaced: GF(q) as q x q addition and multiplication tables on the same
-# canonical indices, and generic polynomial products reduced through them.
-# It shares no arithmetic with finite_field, only ``factorize`` and ``digits``.
-
-class Tables(NamedTuple):
-    """GF(q) on the indices 0..q-1; index 0 is zero and index 1 is one."""
-
-    add: list[list[int]]
-    mul: list[list[int]]
-
-
-class TableExtension(NamedTuple):
-    base: Tables
-    modulus: tuple[int, ...]
-    order: int
-
-
-def table_prime_field(p):
-    return Tables([[(a + b) % p for b in range(p)] for a in range(p)],
-                  [[a * b % p for b in range(p)] for a in range(p)])
-
-
-def poly_mul(field, a, b):
-    add, mul = field
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        row = mul[x]
-        for j, y in enumerate(b):
-            out[i + j] = add[out[i + j]][row[y]]
-    return out
-
-
-def poly_mod(field, a, divisor):
-    """Remainder of a by a monic divisor (so no inversion), as deg(divisor) coefficients."""
-    add, mul = field
-    width = len(divisor) - 1
-    rest = list(a) + [0] * (width - len(a))
-    while len(rest) > width:
-        minus = mul[add[rest.pop()].index(0)]
-        for j, c in enumerate(divisor[:-1], len(rest) - width):
-            rest[j] = add[rest[j]][minus[c]]
-    return rest
-
-
-def table_irreducible(field, degree):
-    """The first monic irreducible of ``degree`` in canonical order, by trial division."""
-    size = len(field.add)
-    monic = lambda d: (ff.digits(value, size, d) + (1,) for value in range(size ** d))
-    return next(poly for poly in monic(degree)
-                if all(any(poly_mod(field, poly, factor))
-                       for d in range(1, degree // 2 + 1) for factor in monic(d)))
-
-
-def table_extension(base, modulus):
-    return TableExtension(base, tuple(modulus), len(base.add) ** (len(modulus) - 1))
-
-
-def table_element(field, index):
-    return ff.digits(index, len(field.base.add), len(field.modulus) - 1)
-
-
-def multiply(field, a, b):
-    return tuple(poly_mod(field.base, poly_mul(field.base, a, b), field.modulus))
-
-
-def power(field, a, exponent):
-    result = table_element(field, 1)
-    while exponent:
-        if exponent & 1:
-            result = multiply(field, result, a)
-        a = multiply(field, a, a)
-        exponent >>= 1
-    return result
-
-
-def tables(field):
-    """The tables of a small extension, on canonical indices."""
-    elements = [table_element(field, i) for i in range(field.order)]
-    index = {e: i for i, e in enumerate(elements)}
-    return Tables([[index[tuple(field.base.add[x][y] for x, y in zip(a, b))] for b in elements]
-                   for a in elements],
-                  [[index[multiply(field, a, b)] for b in elements] for a in elements])
-
-
-def element_order(field, a):
-    """Reference: the order of a nonzero element, by dividing primes out of
-    |F| - 1 while a to that power stays 1 (factoring |F| - 1 on every call)."""
-    if not any(a):
-        raise ValueError("zero has no multiplicative order")
-    order = field.order - 1
-    for prime, _ in ff.factorize(order):
-        while order % prime == 0 and power(field, a, order // prime) == table_element(field, 1):
-            order //= prime
-    return order
-
-
-def reference_primitive(field):
-    """The first canonical index of full order, found by ``element_order``."""
-    return next(index for index in range(1, field.order)
-                if element_order(field, table_element(field, index)) == field.order - 1)
-
-
-def reference_tower(q):
-    """(GF(q) modulus over GF(p) or None for prime q, GF(q^3) over the GF(q) tables)."""
-    (p, m), = ff.factorize(q)
-    ground = table_prime_field(p)
-    if m == 1:
-        return None, table_extension(ground, table_irreducible(ground, 3))
-    modulus = table_irreducible(ground, m)
-    mid = tables(table_extension(ground, modulus))
-    return modulus, table_extension(mid, table_irreducible(mid, 3))
-
-
-def reference_choices(q):
-    """(GF(q) modulus, cubic, primitive index, Singer set) from the table field;
-    the set walks n = q^2 + q + 1 powers of the primitive element by products."""
-    modulus, top = reference_tower(q)
-    primitive = reference_primitive(top)
-    gamma, power_ = table_element(top, primitive), table_element(top, 1)
-    elements = []
-    for exponent in range(q * q + q + 1):
-        if power_[2] == 0:
-            elements.append(exponent)
-        power_ = multiply(top, power_, gamma)
-    return modulus, top.modulus, primitive, tuple(elements)
-
-
 def choices(q):
     """The same four from finite_field and the Singer construction."""
     (p, m), = ff.factorize(q)
     modulus = ff.find_irreducible(ff.prime_field(p), m) if m > 1 else None
-    _, top = _tower(q)
+    _, top = tower(q)
     return (modulus, top.modulus, ff.find_primitive(top),
             singer.singer_difference_set(q).elements)
 
 
 GF8_TABLES = table_extension(table_prime_field(2), (1, 1, 0, 1))
-
-
-def _index(coords, base):
-    return sum(c * base ** i for i, c in enumerate(coords))
 
 
 @pytest.mark.parametrize("q", PRIME_POWERS_TO_64)
@@ -237,7 +95,7 @@ class TestIrreducibles:
         (p, m), = ff.factorize(q)
         if modulus is not None:
             assert ff.find_irreducible(ff.prime_field(p), m) == modulus
-        _, top = _tower(q)
+        _, top = tower(q)
         assert top.modulus == cubic
         assert ff.find_primitive(top) == primitive
 
@@ -261,22 +119,22 @@ class TestIrreducibles:
 
 class TestExtensionField:
     def test_order_eight(self):
-        field = _extension(2, 3)
+        field = extension(2, 3)
         assert field.order == 8
         assert ff.logarithms(field).order == 8
         assert len(tables(table_extension(table_prime_field(2), field.modulus)).mul) == 8
 
     def test_cube_reduction(self):
         # x * x^2 = x^3 = x + 1 mod x^3 + x + 1
-        field = _extension(2, 3)
+        field = extension(2, 3)
         assert ff.multiply(field, (0, 1, 0), (0, 0, 1)) == (1, 1, 0)
         assert ff.logarithms(field).mul(2, 4) == 3
         assert tables(table_extension(table_prime_field(2), field.modulus)).mul[2][4] == 3
 
     def test_index_round_trip(self):
-        field = _extension(3, 2)
+        field = extension(3, 2)
         for index in range(field.order):
-            assert _index(ff.element(field, index), 3) == index
+            assert index_of(ff.element(field, index), 3) == index
 
 
 class TestInversesAndOrders:
@@ -299,7 +157,7 @@ class TestInversesAndOrders:
     def test_primitive_choices(self):
         assert ff.find_primitive(ff.extend(GF7, (0, 1))) == 3
         assert ff.find_primitive(ff.extend(GF2, (0, 1))) == 1
-        field = _extension(2, 3)
+        field = extension(2, 3)
         gamma = ff.find_primitive(field)
         assert gamma == 2  # the generator x itself
         assert element_order(GF8_TABLES, ff.element(field, gamma)) == 7
@@ -317,67 +175,30 @@ class TestInversesAndOrders:
 
     @pytest.mark.parametrize("q", PRIME_POWERS_TO_64)
     def test_primitive_matches_order_reference_on_singer_tops(self, q):
-        _, top = _tower(q)
+        _, top = tower(q)
         assert ff.find_primitive(top) == reference_primitive(reference_tower(q)[1])
-
-
-def _naive_product(p, modulus, a, b):
-    """Schoolbook multiply-and-reduce on plain int vectors, coefficients mod p."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = (out[i + j] + x * y) % p
-    width = len(modulus) - 1
-    for top in range(len(out) - 1, width - 1, -1):
-        c = out[top]
-        if c:
-            for j in range(width + 1):
-                out[top - width + j] = (out[top - width + j] - c * modulus[j]) % p
-    return (out + [0] * width)[:width]
-
-
-def _naive_triple_product(p, inner, cubic, a, b):
-    """GF(q^3) product with each GF(q) coefficient as a vector over GF(p).
-
-    Coefficients are multiplied by ``_naive_product`` modulo ``inner`` (the
-    GF(q) modulus over GF(p)) and added coordinatewise mod p, so none of the
-    field tables under test take part.
-    """
-    m = len(inner) - 1
-    vec = lambda index: [index // p ** i % p for i in range(m)]
-    times = lambda x, y: _naive_product(p, inner, x, y)
-    plus = lambda x, y: [(s + t) % p for s, t in zip(x, y)]
-    out = [[0] * m for _ in range(5)]
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = plus(out[i + j], times(vec(x), vec(y)))
-    for top in (4, 3):
-        minus = [(-c) % p for c in out[top]]
-        for j in range(3):
-            out[top - 3 + j] = plus(out[top - 3 + j], times(minus, vec(cubic[j])))
-    return tuple(_index(c, p) for c in out[:3])
 
 
 @pytest.mark.parametrize("p,degree", [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2), (7, 2)])
 def test_products_match_naive_oracle(p, degree):
-    field = _extension(p, degree)
+    field = extension(p, degree)
     rng = random.Random(1000 * p + degree)
     for _ in range(100):
         a = ff.element(field, rng.randrange(field.order))
         b = ff.element(field, rng.randrange(field.order))
-        assert list(ff.multiply(field, a, b)) == _naive_product(p, field.modulus, a, b)
+        assert list(ff.multiply(field, a, b)) == naive_product(p, field.modulus, a, b)
 
 
 @pytest.mark.parametrize("q", [4, 5, 8, 9, 16, 25])
 def test_triple_products_match_naive_oracle(q):
     (p, m), = ff.factorize(q)
     inner = ff.find_irreducible(ff.prime_field(p), m) if m > 1 else (0, 1)
-    _, top = _tower(q)
+    _, top = tower(q)
     rng = random.Random(q)
     for _ in range(200):
         a = tuple(rng.randrange(q) for _ in range(3))
         b = tuple(rng.randrange(q) for _ in range(3))
-        assert ff.multiply(top, a, b) == _naive_triple_product(p, inner, top.modulus, a, b)
+        assert ff.multiply(top, a, b) == naive_triple_product(p, inner, top.modulus, a, b)
 
 
 def _operations(field):
@@ -389,9 +210,9 @@ def _operations(field):
 
 @pytest.mark.parametrize("make", [
     lambda: GF7,
-    lambda: ff.logarithms(_extension(2, 3)),
-    lambda: ff.logarithms(_extension(3, 2)),
-    lambda: ff.logarithms(_extension(2, 4)),
+    lambda: ff.logarithms(extension(2, 3)),
+    lambda: ff.logarithms(extension(3, 2)),
+    lambda: ff.logarithms(extension(2, 4)),
     lambda: table_prime_field(7),
     lambda: tables(table_extension(table_prime_field(2), (1, 1, 0, 1))),
     lambda: tables(table_extension(table_prime_field(3), (1, 0, 1))),
@@ -419,7 +240,7 @@ def test_field_axioms_hold(make):
 def test_log_field_matches_tables(q):
     # every sum and product of the O(q) log field against the q x q tables
     (p, m), = ff.factorize(q)
-    field = ff.logarithms(_extension(p, m))
+    field = ff.logarithms(extension(p, m))
     ground = table_prime_field(p)
     reference = tables(table_extension(ground, table_irreducible(ground, m)))
     for a, b in itertools.product(range(q), repeat=2):
@@ -429,7 +250,7 @@ def test_log_field_matches_tables(q):
 
 def test_primitive_generates_everything():
     for q in (2, 3, 4, 5):
-        _, top = _tower(q)
+        _, top = tower(q)
         gamma = ff.element(top, ff.find_primitive(top))
         assert element_order(reference_tower(q)[1], gamma) == q ** 3 - 1
         seen = set()

@@ -8,17 +8,13 @@ import tracemalloc
 import pytest
 
 import cyclespec
-from cyclespec import cycleset, graphs, oracle, singer
+from cyclespec import graphs, oracle
+from references import chord_pool, singer_graph
 
 
 def _raises(message):
     """ValueError whose message contains ``message`` verbatim."""
     return pytest.raises(ValueError, match=re.escape(message))
-
-
-def _singer_graph(q):
-    anchors = cycleset.derive_cycle_set(singer.singer_difference_set(q))
-    return graphs.build_graph(q * q + q + 1, anchors)
 
 
 class TestConstruction:
@@ -120,7 +116,7 @@ class TestExport:
     def test_graph6_long_header(self):
         # n = 62 is the last short header; 63, 73 (q = 8) and 553 (q = 23) need "~"
         for graph in [graphs.ChordedCycleGraph(62), graphs.build_graph(62, [5, 40]),
-                      graphs.ChordedCycleGraph(63), _singer_graph(8), _singer_graph(23)]:
+                      graphs.ChordedCycleGraph(63), singer_graph(8), singer_graph(23)]:
             text = graphs.export_graph(graph, "graph6")
             assert text.startswith("~") == (graph.n > 62)
             assert graphs.import_graph(text, "graph6") == graph
@@ -129,7 +125,7 @@ class TestExport:
     def test_graph6_matches_networkx(self):
         nx = pytest.importorskip("networkx")
         for graph in [graphs.build_graph(13, [8, 12]), graphs.ChordedCycleGraph(62),
-                      graphs.ChordedCycleGraph(63), _singer_graph(8), _singer_graph(23)]:
+                      graphs.ChordedCycleGraph(63), singer_graph(8), singer_graph(23)]:
             reference = nx.Graph()
             reference.add_nodes_from(range(1, graph.n + 1))
             reference.add_edges_from(graph.cycle_edges() + list(graph.chords))
@@ -252,8 +248,7 @@ def test_round_trips_arbitrary_chords():
     @st.composite
     def chorded_cycles(draw):
         n = draw(st.integers(3, 80))
-        pool = [(u, v) for u in range(1, n - 1) for v in range(u + 2, n + 1)
-                if (u, v) != (1, n)]
+        pool = chord_pool(n)
         chords = draw(st.lists(st.sampled_from(pool), unique=True)) if pool else []
         return graphs.ChordedCycleGraph(n, tuple(chords))
 

@@ -1,11 +1,14 @@
-"""The package's top-level names are the ones the README's Library section uses."""
+"""The package's top-level names are the ones the README's Library section
+uses, and the test modules import no other test module."""
 
+import ast
 import pathlib
 import re
 
 import cyclespec
 
-README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+TESTS = pathlib.Path(__file__).resolve().parent
+README = TESTS.parent / "README.md"
 
 
 def _library_section():
@@ -23,3 +26,23 @@ def test_library_example_runs():
 def test_public_names_are_the_documented_ones():
     assert set(cyclespec.__all__) <= set(re.findall(r"\w+", _library_section()))
     assert all(hasattr(cyclespec, name) for name in cyclespec.__all__)
+
+
+def _imported_test_modules(path):
+    """The modules named ``test_*`` that the Python file at ``path`` imports."""
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names.append(node.module or "")
+    return [name for name in names if name.split(".")[0].startswith("test_")]
+
+
+def test_no_test_module_imports_another():
+    # shared helpers and references live in tests/references.py; a test
+    # module importing another can form an import cycle that fails collection
+    paths = sorted(TESTS.glob("test_*.py")) + [TESTS / "references.py"]
+    assert len(paths) > 10
+    found = {path.name: _imported_test_modules(path) for path in paths}
+    assert {name: modules for name, modules in found.items() if modules} == {}

@@ -9,8 +9,11 @@ from collections import Counter
 
 import pytest
 
-from cyclespec import graphs, oracle, search
+from cyclespec import oracle, search
 from cyclespec.graphs import ChordedCycleGraph
+from references import (adjacency, bits, census_repeat, chord_pool, counting_cap, dihedral_maps,
+                        is_sidon, lengths, max_single_vertex_chords, naive_g, networkx_spectrum,
+                        pair_canonical, plain_search, relabel, vertex_new_cycle_lengths)
 
 
 README = pathlib.Path(__file__).parents[1] / "README.md"
@@ -28,39 +31,6 @@ FROZEN_NODES = {18: 2308, 19: 378, 20: 391, 21: 517, 22: 499, 23: 540, 24: 25047
 # the nodes at zero-slack n under the plain counting cap, without the cut of
 # ``search.chord_cap``; tier-1 runs n <= 23, tests/long_checks.py n = 30
 PLAIN_CAP_NODES = {12: 106, 17: 1068, 23: 17629, 30: 465707}
-
-
-def _repeat_free(anchors, n):
-    return oracle.has_repeated_length(graphs.predicted_spectrum(n, anchors)) is None
-
-
-def _relabel(graph, mapping):
-    return ChordedCycleGraph(graph.n, tuple((mapping[u], mapping[v]) for u, v in graph.chords))
-
-
-def dihedral_maps(n):
-    """The 2n rotation/reflection relabelings, as lookup tables indexed by
-    vertex; the identity comes first."""
-    maps = []
-    for shift in range(n):
-        rotation = [0] * (n + 1)
-        reflection = [0] * (n + 1)
-        for v in range(1, n + 1):
-            rotation[v] = (v - 1 + shift) % n + 1
-            reflection[v] = (shift - (v - 1)) % n + 1
-        maps.append(tuple(rotation))
-        maps.append(tuple(reflection))
-    return maps
-
-
-def _bits(lengths):
-    """Distinct cycle lengths as the search's bit set (bit L for length L)."""
-    return sum(1 << length for length in set(lengths))
-
-
-def _lengths(bits):
-    """The ascending lengths in a bit set."""
-    return [length for length in range(bits.bit_length()) if bits >> length & 1]
 
 
 def _star(n):
@@ -84,11 +54,9 @@ def check_readme_row(n):
         assert result.nodes_explored == FROZEN_NODES[n], (n, result.nodes_explored)
     assert g_value < n + math.sqrt(2 * n) + 1, n
     assert g_value <= _sharp_bound(n), n
-    nx = pytest.importorskip("networkx")
-    graph = nx.Graph(list(result.witness.cycle_edges()) + list(chords))
-    lengths = sorted(len(cycle) for cycle in nx.simple_cycles(graph))
-    assert tuple(lengths) == oracle.enumerate_cycles(result.witness), (n, lengths)
-    assert len(set(lengths)) == len(lengths), (n, lengths)
+    spectrum = networkx_spectrum(result.witness)
+    assert spectrum == oracle.enumerate_cycles(result.witness), (n, spectrum)
+    assert len(set(spectrum)) == len(spectrum), (n, spectrum)
 
 
 def check_counting_cap(n, monkeypatch):
@@ -104,20 +72,9 @@ def check_counting_cap(n, monkeypatch):
     assert plain.nodes_explored == PLAIN_CAP_NODES[n] > capped.nodes_explored
 
 
-def _chord_pool(n):
-    return [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
-            if v - u != 1 and (u, v) != (1, n)]
-
-
 def _sharp_bound(n):
     """n + (sqrt(8n - 15) - 3)/2, the edge bound that ``counting_cap`` floors."""
     return n + (math.sqrt(8 * n - 15) - 3) / 2
-
-
-def counting_cap(n):
-    """Largest k with k(k + 3)/2 <= n - 3: the plain counting bound, without
-    the zero-slack cut of ``search.chord_cap``."""
-    return (math.isqrt(8 * n - 15) - 3) // 2
 
 
 def _crosses(first, second):
@@ -150,7 +107,7 @@ def zero_slack_lemma_mismatches(n_max, k_max=4):
     mismatches = []
     tight = 0
     for n in range(5, n_max + 1):
-        pool = _chord_pool(n)
+        pool = chord_pool(n)
         for k in range(k_max + 1):
             least = 1 + k * (k + 3) // 2
             for chords in itertools.combinations(pool, k):
@@ -190,7 +147,7 @@ class TestHelpers:
         # through each of them
         rng = random.Random(2017)
         for n in range(5, 21):
-            pool = _chord_pool(n)
+            pool = chord_pool(n)
             for _ in range(12):
                 k = rng.randrange(0, min(6, len(pool)) + 1)
                 graph = ChordedCycleGraph(n, tuple(sorted(rng.sample(pool, k))))
@@ -215,58 +172,20 @@ class TestHelpers:
         graph = ChordedCycleGraph(9, ((1, 4), (2, 7)))
         spectrum = oracle.enumerate_cycles(graph)
         for mapping in dihedral_maps(9):
-            moved = _relabel(graph, mapping)
+            moved = relabel(graph, mapping)
             assert oracle.enumerate_cycles(moved) == spectrum
-
-
-def _pair_canonical(chords, maps):
-    """The reference orbit test: chords (sorted pairs) are least among their
-    images under every one of the 2n maps."""
-    for mapping in maps:
-        image = sorted((min(mapping[u], mapping[v]), max(mapping[u], mapping[v]))
-                       for u, v in chords)
-        if tuple(image) < chords:
-            return False
-    return True
-
-
-def _vertex_new_cycle_lengths(adjacency, u, v, used):
-    """The reference repeat test, walking the graph one vertex at a time:
-    the lengths of the cycles the chord {u, v} would add, one per simple
-    u-v path, as a bit set; None as soon as a new length repeats one in the
-    bit set ``used`` or another new one."""
-    fresh = 0
-    path = [u]
-    on_path = {u}
-    pending = [iter(adjacency[u])]
-    while pending:
-        step = next(pending[-1], None)
-        if step is None:
-            pending.pop()
-            on_path.discard(path.pop())
-            continue
-        if step == v:
-            bit = 1 << (len(path) + 1)
-            if (used | fresh) & bit:
-                return None
-            fresh |= bit
-        elif step not in on_path:
-            path.append(step)
-            on_path.add(step)
-            pending.append(iter(adjacency[step]))
-    return fresh
 
 
 def _assert_same_canonicity(n, subsets):
     """The search's orbit test agrees with the reference on non-empty
     subsets of the chord pool, given as ascending indices; returns how many
     were canonical."""
-    pool = _chord_pool(n)
+    pool = chord_pool(n)
     maps = dihedral_maps(n)
     canonical = 0
     for subset in subsets:
         chords = tuple(pool[index] for index in subset)
-        expected = _pair_canonical(chords, maps)
+        expected = pair_canonical(chords, maps)
         assert search._is_canonical(n, list(chords)) == expected, (n, chords)
         canonical += expected
     return canonical
@@ -279,14 +198,14 @@ class TestCanonicity:
 
     @pytest.mark.parametrize("n", range(5, 12))
     def test_tables_match_pair_sorting_on_small_subsets(self, n):
-        size = len(_chord_pool(n))
+        size = len(chord_pool(n))
         _assert_same_canonicity(n, (subset for k in range(1, 4)
                                     for subset in itertools.combinations(range(size), k)))
 
     @pytest.mark.parametrize("n", range(8, 18))
     def test_tables_match_pair_sorting_on_random_subsets(self, n):
         rng = random.Random(n)
-        size = len(_chord_pool(n))
+        size = len(chord_pool(n))
         _assert_same_canonicity(n, (sorted(rng.sample(range(size), rng.choice((4, 5))))
                                     for _ in range(2000)))
 
@@ -295,7 +214,7 @@ class TestCanonicity:
         # a chord of span n/2 spans it both ways round, so four relabelings
         # take it onto (1, 1 + n/2): sets of such chords alone, and sets
         # where one sits beside shorter chords
-        pool = _chord_pool(n)
+        pool = chord_pool(n)
         halves = [index for index, (u, v) in enumerate(pool) if 2 * (v - u) == n]
         assert len(halves) == n // 2
         alone = [subset for k in range(1, 5) for subset in itertools.combinations(halves, k)]
@@ -312,18 +231,18 @@ class TestIncrementalLengths:
     vertex-by-vertex reference and against full re-enumeration."""
 
     def test_single_chord_on_bare_cycle(self):
-        assert _lengths(search._new_cycle_lengths(7, (), 1, 3, _bits([7]))) == [3, 6]
-        assert _lengths(search._new_cycle_lengths(7, (), 2, 6, _bits([7]))) == [4, 5]
-        assert search._new_cycle_lengths(7, (), 2, 6, _bits([7, 4])) is None
+        assert lengths(search._new_cycle_lengths(7, (), 1, 3, bits([7]))) == [3, 6]
+        assert lengths(search._new_cycle_lengths(7, (), 2, 6, bits([7]))) == [4, 5]
+        assert search._new_cycle_lengths(7, (), 2, 6, bits([7, 4])) is None
         # two arcs of equal length are two parallel edges, and repeat
-        assert search._new_cycle_lengths(8, (), 2, 6, _bits([8])) is None
+        assert search._new_cycle_lengths(8, (), 2, 6, bits([8])) is None
 
     def test_matches_full_reenumeration(self):
         rng = random.Random(1234)
         outcomes = {True: 0, False: 0}
         while min(outcomes.values()) < 100:
             n = rng.randrange(5, 14)
-            pool = _chord_pool(n)
+            pool = chord_pool(n)
             chords = tuple(sorted(rng.sample(pool, rng.randrange(0, min(3, len(pool)) + 1))))
             graph = ChordedCycleGraph(n, chords)
             before = list(oracle.enumerate_cycles(graph))
@@ -333,11 +252,11 @@ class TestIncrementalLengths:
             u, v = rng.choice(free)
             after = list(oracle.enumerate_cycles(
                 ChordedCycleGraph(n, tuple(sorted(chords + ((u, v),))))))
-            fresh = search._new_cycle_lengths(n, chords, u, v, _bits(before))
+            fresh = search._new_cycle_lengths(n, chords, u, v, bits(before))
             repeats = oracle.has_repeated_length(after) is not None
             assert (fresh is None) == repeats, (n, chords, (u, v))
             if fresh is not None:
-                assert sorted(before + _lengths(fresh)) == after, (n, chords, (u, v))
+                assert sorted(before + lengths(fresh)) == after, (n, chords, (u, v))
             outcomes[repeats] += 1
 
     def test_contracted_walk_matches_vertex_walk_and_oracle(self):
@@ -346,11 +265,10 @@ class TestIncrementalLengths:
         # are the spectrum it adds, the multiset difference of the two
         # enumerations, and the test fails exactly when they repeat or meet
         # a used length
-        from test_oracle import _adjacency  # not at the top: test_oracle imports this module
         rng = random.Random(3041)
         seen = Counter()
         for n in range(5, 41):
-            pool = _chord_pool(n)
+            pool = chord_pool(n)
             most = min(max(6, search.chord_cap(n) + 1), len(pool) - 1)
             for _ in range(12):
                 if n >= 7 and rng.random() < 0.25:  # a hub: >= 4 chords at one vertex
@@ -374,13 +292,13 @@ class TestIncrementalLengths:
                 added.subtract(oracle.enumerate_cycles(graph))
                 assert min(added.values()) >= 0
                 new = sorted(added.elements())
-                used = rng.choice((_bits([n]), _bits(oracle.enumerate_cycles(graph)),
-                                   _bits([n, rng.choice(new)])))
-                expected = (None if len(set(new)) < len(new) or used & _bits(new)
-                            else _bits(new))
+                used = rng.choice((bits([n]), bits(oracle.enumerate_cycles(graph)),
+                                   bits([n, rng.choice(new)])))
+                expected = (None if len(set(new)) < len(new) or used & bits(new)
+                            else bits(new))
                 found = search._new_cycle_lengths(n, chords, u, v, used)
-                assert found == expected, (n, chords, (u, v), _lengths(used))
-                assert found == _vertex_new_cycle_lengths(_adjacency(graph), u, v, used)
+                assert found == expected, (n, chords, (u, v), lengths(used))
+                assert found == vertex_new_cycle_lengths(adjacency(graph), u, v, used)
                 points = sorted(set(ends) | {u, v})
                 neighbours = set(zip(points, points[1:])) | {(points[0], points[-1])}
                 seen["repeats" if found is None else "fresh"] += 1
@@ -388,7 +306,7 @@ class TestIncrementalLengths:
                 seen["shared endpoint"] += len(ends) < 2 * len(chords)
                 seen["parallel edge"] += bool(neighbours & set(chords))
                 seen["u or v a chord endpoint"] += u in ends or v in ends
-                seen["used meets a new length"] += bool(used & _bits(new))
+                seen["used meets a new length"] += bool(used & bits(new))
                 seen["six chords"] += len(chords) == 6
                 seen["more than six chords"] += len(chords) > 6
                 seen["hub"] += max(degrees.values(), default=0) >= 4
@@ -420,7 +338,7 @@ class TestForwardCheck:
         # coincide, which happens for even n when c + d - a - b = n/2
         kinds = Counter()
         for n in range(5, 15):
-            pool = _chord_pool(n)
+            pool = chord_pool(n)
             alone = {chord: Counter(oracle.enumerate_cycles(ChordedCycleGraph(n, (chord,))))
                      for chord in pool}
             for first, second in itertools.combinations(pool, 2):
@@ -438,7 +356,7 @@ class TestForwardCheck:
                     assert _pair_kind(first, second) == "crossing" and 2 * (c + d - a - b) == n
                     kinds["coinciding"] += 1
                 else:
-                    assert pair == _bits(expected), (n, first, second)
+                    assert pair == bits(expected), (n, first, second)
                 kinds[_pair_kind(first, second)] += 1
         assert set(kinds) == {"shared endpoint", "crossing", "nested", "side by side", "coinciding"}
 
@@ -451,14 +369,14 @@ class TestForwardCheck:
         outcomes = Counter()
         while min(outcomes["dropped"], outcomes["survives"]) < 100:
             n = rng.randrange(5, 15)
-            pool = _chord_pool(n)
+            pool = chord_pool(n)
             chords = tuple(sorted(rng.sample(pool, rng.randrange(0, min(3, len(pool)) + 1))))
             graph = ChordedCycleGraph(n, chords)
             spectrum = oracle.enumerate_cycles(graph)
             free = [e for e in pool if e not in chords]
             if oracle.has_repeated_length(spectrum) is not None or len(free) < 2:
                 continue
-            used = _bits(spectrum)
+            used = bits(spectrum)
             x, c = rng.sample(free, 2)
             fresh_x = search._new_cycle_lengths(n, chords, *x, used)
             fresh_c = search._new_cycle_lengths(n, chords, *c, used)
@@ -480,7 +398,7 @@ class TestForwardCheck:
         # on the bare cycle a chord closes only its two arcs, so the root's
         # K is their lengths, 0 where they coincide and the test repeats
         roots = []
-        for u, v in _chord_pool(n):
+        for u, v in chord_pool(n):
             arcs = 1 << (v - u + 1) ^ 1 << (n - v + u + 1)
             assert arcs == (search._new_cycle_lengths(n, (), u, v, 1 << n) or 0), (n, u, v)
             if arcs:
@@ -507,9 +425,9 @@ class TestForwardCheck:
         # the cycles through c and x, so the child of x needs no repeat
         # test: it keeps c exactly when the test on cycle + x passes, with
         # K(c) as the lengths that test finds
-        bare = _bits([n])
+        bare = bits([n])
         roots = [(chord, search._new_cycle_lengths(n, (), *chord, bare))
-                 for chord in _chord_pool(n)]
+                 for chord in chord_pool(n)]
         roots = [(chord, fresh) for chord, fresh in roots if fresh is not None]
         outcomes = Counter()
         for x, fresh_x in roots:
@@ -524,115 +442,6 @@ class TestForwardCheck:
         assert bool(outcomes[False]) == (n >= 8)  # two chords fit from n = 8 on
 
 
-def _max_chords(n):
-    """Largest k with C(k, 2) < n, the depth cap of the unpruned references."""
-    k = 1
-    while (k + 1) * k // 2 < n:
-        k += 1
-    return k
-
-
-def _plain_search(n):
-    """The unpruned reference: depth-first over chord subsets in
-    lexicographic order up to the C(k, 2) < n depth cap, cutting a branch
-    only where a length repeats or too few chords remain to beat the
-    incumbent.  No orbit test, no counting cap, no forward checking.
-    Returns (g, least maximum witness, repeat tests run)."""
-    pool = _chord_pool(n)
-    depth_cap = _max_chords(n)
-    adjacency = {v: [] for v in range(1, n + 1)}
-    for u, v in ChordedCycleGraph(n).cycle_edges():
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    used = 1 << n  # bit set of the lengths in use
-    chosen = []
-    best = ()
-    nodes = 0
-
-    def walk(start):
-        nonlocal best, nodes, used
-        if len(chosen) == depth_cap:
-            return
-        for index in range(start, len(pool)):
-            if len(chosen) + len(pool) - index <= len(best):
-                return
-            nodes += 1
-            u, v = pool[index]
-            fresh = _vertex_new_cycle_lengths(adjacency, u, v, used)
-            if fresh is None:
-                continue
-            chosen.append(pool[index])
-            used |= fresh
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-            if len(chosen) > len(best):
-                best = tuple(chosen)
-            walk(index + 1)
-            adjacency[u].remove(v)
-            adjacency[v].remove(u)
-            used ^= fresh
-            chosen.pop()
-
-    walk(0)
-    return n + len(best), best, nodes
-
-
-def max_single_vertex_chords(n):
-    """The star reference: the largest single-vertex anchor set with all
-    predicted cycle lengths distinct, and the lexicographically first
-    witness of that size.
-
-    Anchors tried in increasing order; each new anchor a contributes lengths
-    a, n + 2 - a, and a - s + 2 per earlier anchor s, all of which must be
-    fresh.  The maximum grows like the largest Sidon set in {3..n-1}.
-    """
-    if n < 4:
-        raise ValueError("need n >= 4")
-    best = ()
-    chosen = []
-    used = {n}
-
-    def walk(lowest):
-        nonlocal best
-        if len(chosen) > len(best):
-            best = tuple(chosen)
-        for anchor in range(lowest, n):
-            if len(chosen) + (n - anchor) <= len(best):
-                return
-            fresh = []
-            ok = True
-            for length in [anchor, n + 2 - anchor] + [anchor - s + 2 for s in chosen]:
-                if length in used or length in fresh:
-                    ok = False
-                    break
-                fresh.append(length)
-            if not ok:
-                continue
-            chosen.append(anchor)
-            used.update(fresh)
-            walk(anchor + 1)
-            used.difference_update(fresh)
-            chosen.pop()
-
-    walk(3)
-    return len(best), best
-
-
-def _naive_g(n):
-    """Sweep every chord subset up to the depth cap; no pruning at all."""
-    pool = _chord_pool(n)
-    best = 0
-    for size in range(_max_chords(n), -1, -1):
-        for subset in itertools.combinations(pool, size):
-            spectrum = oracle.enumerate_cycles(ChordedCycleGraph(n, subset))
-            if oracle.has_repeated_length(spectrum) is None:
-                best = size
-                break
-        if best:
-            break
-    return n + best
-
-
 class TestExactSearch:
     @pytest.mark.parametrize("n", [n for n in sorted(README_ROWS) if n <= 22])
     def test_readme_row(self, n):
@@ -641,12 +450,12 @@ class TestExactSearch:
 
     @pytest.mark.parametrize("n", range(3, 10))
     def test_agrees_with_naive_sweep(self, n):
-        assert search.exact_g(n).g_value == _naive_g(n)
+        assert search.exact_g(n).g_value == naive_g(n)
 
     @pytest.mark.parametrize("n", range(3, 15))
     def test_pruning_does_not_change_answers(self, n):
         pruned = search.exact_g(n)
-        g_value, witness, nodes = _plain_search(n)
+        g_value, witness, nodes = plain_search(n)
         assert pruned.g_value == g_value
         assert pruned.witness.chords == witness  # both lexicographically least
         assert pruned.nodes_explored <= nodes
@@ -660,7 +469,7 @@ class TestExactSearch:
         for _ in range(20000):
             n = rng.randrange(8, 40)
             depth = rng.randrange(0, min(5, n - 5))
-            pool = [((1, 3 + index), _bits(rng.sample(range(3, n), rng.randrange(depth + 3, n - 2))))
+            pool = [((1, 3 + index), bits(rng.sample(range(3, n), rng.randrange(depth + 3, n - 2))))
                     for index in range(rng.randrange(0, 8))]
             need = rng.randrange(1, 6)
             free = rng.randrange(0, n - 2)
@@ -790,7 +599,7 @@ class TestExactSearch:
         rng = random.Random(55)
         for _ in range(30):
             n = rng.randrange(6, 12)
-            pool = _chord_pool(n)
+            pool = chord_pool(n)
             chords = tuple(sorted(rng.sample(pool, min(3, len(pool)))))
             graph = ChordedCycleGraph(n, chords)
             if oracle.has_repeated_length(oracle.enumerate_cycles(graph)) is None:
@@ -814,14 +623,14 @@ class TestSingleVertexChords:
         for n in range(4, 30):
             size, witness = max_single_vertex_chords(n)
             assert len(witness) == size
-            assert _repeat_free(witness, n)
+            assert census_repeat(witness, n) is None
 
     def test_derived_anchor_sets_are_witnesses_not_maxima(self):
         # the difference-set pipeline proves a lower bound; the search can
         # beat it at fixed n (at n = 13 three anchors fit, the pipeline uses two)
-        assert _repeat_free([6], 7)
+        assert census_repeat([6], 7) is None
         assert max_single_vertex_chords(7)[0] == 1
-        assert _repeat_free([8, 12], 13)
+        assert census_repeat([8, 12], 13) is None
         assert max_single_vertex_chords(13)[0] == 3
 
     def test_maximum_is_truly_maximal(self):
@@ -831,7 +640,7 @@ class TestSingleVertexChords:
             best = 0
             anchors = range(3, n)
             for k in range(len(list(anchors)), -1, -1):
-                if any(_repeat_free(c, n) for c in itertools.combinations(anchors, k)):
+                if any(census_repeat(c, n) is None for c in itertools.combinations(anchors, k)):
                     best = k
                     break
             assert size == best, n
@@ -842,7 +651,7 @@ class TestSingleVertexChords:
         for n in range(4, 45):
             size, witness = max_single_vertex_chords(n)
             assert size <= math.isqrt(n) + 2
-            assert oracle.is_sidon(witness) or size < 2
+            assert is_sidon(witness) or size < 2
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

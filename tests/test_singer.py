@@ -1,12 +1,13 @@
 """Difference set construction, verification oracle, and brute-force cross-check."""
 
-import itertools
 import random
 import tracemalloc
 
 import pytest
 
 from cyclespec import cli, finite_field, singer
+from references import (brute_force_difference_set, full_walk, sorted_differences_perfect,
+                        translate)
 
 
 PRIME_POWERS = [q for q in range(2, 129) if singer.prime_power(q)]
@@ -86,28 +87,9 @@ class TestConstruction:
                 == singer.singer_difference_set(4).elements)
 
 
-def _full_walk(q: int) -> tuple[int, ...]:
-    """Reference: walk all q^3 - 1 powers of the same primitive element and
-    fold each exponent with vanishing top coordinate mod n."""
-    p, m = singer.prime_power(q)
-    ground = finite_field.prime_field(p)
-    mid = ground if m == 1 else finite_field.logarithms(
-        finite_field.extend(ground, finite_field.find_irreducible(ground, m)))
-    top = finite_field.extend(mid, finite_field.find_irreducible(mid, 3))
-    gamma = finite_field.element(top, finite_field.find_primitive(top))
-    n = q * q + q + 1
-    residues = set()
-    power = (1, 0, 0)
-    for exponent in range(top.order - 1):
-        if power[2] == 0:
-            residues.add(exponent % n)
-        power = finite_field.multiply(top, power, gamma)
-    return tuple(sorted(residues))
-
-
 @pytest.mark.parametrize("q", [q for q in range(2, 65) if singer.prime_power(q)])
 def test_one_period_matches_full_walk(q):
-    assert singer.singer_difference_set(q).elements == _full_walk(q)
+    assert singer.singer_difference_set(q).elements == full_walk(q)
 
 
 def test_walk_covers_one_period(monkeypatch):
@@ -185,14 +167,6 @@ def test_derive_checks_perfectness_once(monkeypatch):
     assert [diffset.elements for diffset in calls] == [(0, 1, 3, 9)]
 
 
-def _sorted_differences_perfect(candidate):
-    """The verifier as it was before the residue marks: all k(k - 1) ordered
-    differences, sorted, must be exactly 1..n - 1."""
-    n = candidate.n
-    differences = ((a - b) % n for a, b in itertools.permutations(candidate.elements, 2))
-    return sorted(differences) == list(range(1, n))
-
-
 class TestVerifier:
     def test_accepts_perfect(self):
         assert singer.verify_perfect_difference_set(
@@ -223,7 +197,7 @@ class TestVerifier:
         verdicts = []
         for candidate in variants:
             verdicts.append(singer.verify_perfect_difference_set(candidate))
-            assert verdicts[-1] is _sorted_differences_perfect(candidate), candidate
+            assert verdicts[-1] is sorted_differences_perfect(candidate), candidate
         # the set itself passes, every dropped element fails (a shift may
         # land on another perfect set, as {0, 1, 3} -> {0, 2, 3} at q = 2)
         assert verdicts[0] and verdicts.count(False) >= len(elements)
@@ -247,33 +221,31 @@ class TestTranslate:
         for q in (2, 3, 4):
             diffset = singer.singer_difference_set(q)
             for _ in range(20):
-                shift = rng.randrange(diffset.n)
-                moved = sorted((a - shift) % diffset.n for a in diffset.elements)
                 assert singer.verify_perfect_difference_set(
-                    singer.PerfectDifferenceSet(diffset.n, tuple(moved)))
+                    translate(diffset, rng.randrange(diffset.n)))
 
 
 class TestBruteForce:
     def test_lexicographic_minima(self):
-        found = singer.brute_force_difference_set(7, 3)
+        found = brute_force_difference_set(7, 3)
         assert found is not None and found.elements == (0, 1, 3)
-        found = singer.brute_force_difference_set(13, 4)
+        found = brute_force_difference_set(13, 4)
         assert found is not None and found.elements == (0, 1, 3, 9)
 
     def test_infeasible_modulus(self):
         # 3 * 2 = 6 differences cannot cover Z_8 \ {0} once each
-        assert singer.brute_force_difference_set(8, 3) is None
+        assert brute_force_difference_set(8, 3) is None
 
     def test_counting_precondition(self):
         with pytest.raises(ValueError):
-            singer.brute_force_difference_set(7, 4)
+            brute_force_difference_set(7, 4)
         with pytest.raises(ValueError):
-            singer.brute_force_difference_set(7, 0)
+            brute_force_difference_set(7, 0)
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_agrees_with_construction(self, q):
         algebraic = singer.singer_difference_set(q)
-        combinatorial = singer.brute_force_difference_set(algebraic.n, algebraic.k)
+        combinatorial = brute_force_difference_set(algebraic.n, algebraic.k)
         assert combinatorial is not None
         assert combinatorial.k == algebraic.k
         assert singer.verify_perfect_difference_set(combinatorial)
