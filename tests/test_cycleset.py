@@ -27,14 +27,14 @@ class TestDerivation:
         assert trace.anchors == (8, 12)
         assert cycleset.derive_cycle_set(singer.singer_difference_set(3)) == (8, 12)
 
-    def test_size_drops_by_two(self):
+    @pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9, 11, 13))
+    def test_size_drops_by_two(self, q):
         # the translate holds 2 and n, which are dropped, and never 1
-        for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
-            diffset = singer.singer_difference_set(q)
-            trace = cycleset.derive_cycle_set_trace(diffset)
-            assert {2, diffset.n} <= set(trace.shifted) and 1 not in trace.shifted
-            assert len(trace.anchors) == q - 1
-            assert list(trace.anchors) == sorted(trace.anchors)
+        diffset = singer.singer_difference_set(q)
+        trace = cycleset.derive_cycle_set_trace(diffset)
+        assert {2, diffset.n} <= set(trace.shifted) and 1 not in trace.shifted
+        assert len(trace.anchors) == q - 1
+        assert list(trace.anchors) == sorted(trace.anchors)
 
     def test_small_inputs_rejected(self):
         with pytest.raises(ValueError, match=PERFECT):

@@ -60,6 +60,12 @@ class TestConstruction:
             graphs.ChordedCycleGraph(6, ((1, 3), (3, 1)))  # same chord twice
 
 
+# n: anchor sets on the n-cycle whose census repeats a length, of the
+# 2^(n - 3); 3,891 of the 4,095 for n = 3..14
+CENSUS_REPEATS = {3: 0, 4: 1, 5: 1, 6: 5, 7: 11, 8: 25, 9: 51, 10: 113, 11: 229,
+                  12: 487, 13: 979, 14: 1989}
+
+
 class TestPredictedSpectrum:
     def test_frozen_examples(self):
         assert graphs.predicted_spectrum(7, [6]) == (3, 6, 7)
@@ -75,24 +81,34 @@ class TestPredictedSpectrum:
             spectrum = graphs.predicted_spectrum(n, anchors)
             assert len(spectrum) == 1 + 2 * size + size * (size - 1) // 2
 
-    def test_census_matches_enumeration_on_every_anchor_set(self):
-        # all 4,095 anchor sets for n <= 14: the census is the enumerated
-        # multiset also when lengths repeat, as in 3,891 of them; the other
-        # 204 are Sidon sets (with a < b < c < d, a + d = b + c would make
-        # the gap lengths b - a + 2 and d - c + 2 equal)
+    @pytest.mark.parametrize("n", sorted(CENSUS_REPEATS))
+    def test_census_matches_enumeration_on_every_anchor_set(self, n):
+        # all 2^(n - 3) anchor sets for n <= 14: the census is the enumerated
+        # multiset also when lengths repeat; the repeat-free sets are Sidon
+        # sets (with a < b < c < d, a + d = b + c would make the gap lengths
+        # b - a + 2 and d - c + 2 equal)
         checked = repeating = 0
-        for n in range(3, 15):
-            for size in range(n - 2):
-                for anchors in itertools.combinations(range(3, n), size):
-                    spectrum = graphs.predicted_spectrum(n, anchors)
-                    graph = graphs.build_graph(n, anchors)
-                    assert spectrum == oracle.enumerate_cycles(graph), (n, anchors)
-                    checked += 1
-                    if oracle.has_repeated_length(spectrum) is None:
-                        assert is_sidon(anchors), (n, anchors)
-                    else:
-                        repeating += 1
-        assert (checked, repeating) == (4095, 3891)
+        for size in range(n - 2):
+            for anchors in itertools.combinations(range(3, n), size):
+                spectrum = graphs.predicted_spectrum(n, anchors)
+                graph = graphs.build_graph(n, anchors)
+                assert spectrum == oracle.enumerate_cycles(graph), anchors
+                checked += 1
+                if oracle.has_repeated_length(spectrum) is None:
+                    assert is_sidon(anchors), anchors
+                else:
+                    repeating += 1
+        assert (checked, repeating) == (2 ** (n - 3), CENSUS_REPEATS[n])
+
+    @pytest.mark.parametrize("n", range(15, 41, 5))
+    def test_census_matches_enumeration_on_random_anchor_sets(self, n):
+        # beyond the exhaustive range: 60 random sets of up to 5 anchors,
+        # repeats allowed, so longer gaps and arcs are enumerated too
+        rng = random.Random(n)
+        for _ in range(60):
+            anchors = tuple(sorted(rng.sample(range(3, n), rng.randrange(6))))
+            graph = graphs.build_graph(n, anchors)
+            assert graphs.predicted_spectrum(n, anchors) == oracle.enumerate_cycles(graph), anchors
 
     def test_repeats_allowed_in_census(self):
         # the census is a multiset; distinctness is the verifier's job

@@ -201,13 +201,13 @@ class TestBounds:
         assert abs(report["singer_lower_bound"] - 195.0) < 1e-9
         assert abs(report["edge_upper_bound"] - (183 + (366) ** 0.5 + 1)) < 1e-9
 
-    def test_exact_rational_collapse(self):
+    @pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9, 11, 13, 16))
+    def test_exact_rational_collapse(self, q):
         # the float in bound_report agrees: n + sqrt(n - 3/4) - 3/2 = q^2 + 2q
-        for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
-            n = q * q + q + 1
-            assert oracle.singer_lower_bound_exact(n) == Fraction(q * q + 2 * q)
-            report = oracle.bound_report(ChordedCycleGraph(n), (n,))
-            assert abs(report["singer_lower_bound"] - (q * q + 2 * q)) < 1e-9
+        n = q * q + q + 1
+        assert oracle.singer_lower_bound_exact(n) == Fraction(q * q + 2 * q)
+        report = oracle.bound_report(ChordedCycleGraph(n), (n,))
+        assert abs(report["singer_lower_bound"] - (q * q + 2 * q)) < 1e-9
 
     def test_exact_rational_other_moduli(self):
         assert oracle.singer_lower_bound_exact(5) is None  # 17 is not a square

@@ -119,31 +119,36 @@ def zero_slack_lemma_mismatches(n_max, k_max=4):
     return mismatches, tight
 
 
-def crossing_lemma_counts(n_max):
+def crossing_lemma_counts(n):
     """Check the crossing lemma on every set of three chords on the n-cycle,
-    n = 6..n_max, two of which cross: at least one cycle uses exactly those
-    three chords.  A cycle uses some subset of the chords, so by
-    inclusion-exclusion over the 8 subsets T, the cycles that use all three
-    number the sum of (-1)^(3 - |T|) times the cycles T closes.  Returns the
-    (n, chords, count) that break the lemma, how many sets were checked, and
-    how many close exactly one such cycle."""
+    two of which cross: at least one cycle uses exactly those three chords.
+    A cycle uses some subset of the chords, so by inclusion-exclusion over
+    the 8 subsets T, the cycles that use all three number the sum of
+    (-1)^(3 - |T|) times the cycles T closes.  Returns the (chords, count)
+    that break the lemma, how many sets were checked, and how many close
+    exactly one such cycle."""
     @functools.cache
-    def cycles(n, chords):
+    def cycles(chords):
         return len(oracle.enumerate_cycles(ChordedCycleGraph(n, chords)))
 
     failures = []
     checked = single = 0
-    for n in range(6, n_max + 1):
-        for chords in itertools.combinations(chord_pool(n), 3):
-            if not any(_crosses(x, y) for x, y in itertools.combinations(chords, 2)):
-                continue
-            count = sum((-1) ** (3 - k) * cycles(n, subset)
-                        for k in range(4) for subset in itertools.combinations(chords, k))
-            if count < 1:
-                failures.append((n, chords, count))
-            checked += 1
-            single += count == 1
+    for chords in itertools.combinations(chord_pool(n), 3):
+        if not any(_crosses(x, y) for x, y in itertools.combinations(chords, 2)):
+            continue
+        count = sum((-1) ** (3 - k) * cycles(subset)
+                    for k in range(4) for subset in itertools.combinations(chords, k))
+        if count < 1:
+            failures.append((chords, count))
+        checked += 1
+        single += count == 1
     return failures, checked, single
+
+
+# n: (three-chord sets with a crossing, those closing exactly one cycle
+# through all three); 34,310 and 27,446 in all
+CROSSING_LEMMA_COUNTS = {6: (70, 66), 7: (280, 252), 8: (840, 728), 9: (2100, 1764),
+                         10: (4620, 3780), 11: (9240, 7392), 12: (17160, 13464)}
 
 
 class TestHelpers:
@@ -169,13 +174,14 @@ class TestHelpers:
         assert mismatches == []
         assert tight == 2617
 
-    def test_crossing_lemma(self):
+    @pytest.mark.parametrize("n", sorted(CROSSING_LEMMA_COUNTS))
+    def test_crossing_lemma(self, n):
         # whether a cycle uses exactly a given chord set depends only on the
         # circular order of the chords' endpoints, and every order of three
-        # chords occurs by n = 12: this range proves the lemma for every n
-        failures, checked, single = crossing_lemma_counts(12)
+        # chords occurs by n = 12: n = 6..12 proves the lemma for every n
+        failures, checked, single = crossing_lemma_counts(n)
         assert failures == []
-        assert (checked, single) == (34310, 27446)
+        assert (checked, single) == CROSSING_LEMMA_COUNTS[n]
 
     def test_counting_lemma_on_random_chord_sets(self):
         # k chords on the n-cycle close at least 1 + k(k + 3)/2 cycles, repeats
