@@ -28,8 +28,11 @@ REFUSED = {
     "three-labels.edgelist": "1 2 3\n",
     "letters.edgelist": "a b\n",
     "zero-label.edgelist": "0 2\n",
+    "zero-second-label.edgelist": "1 0\n",
+    "one-vertex.edgelist": "1 1\n",
     "missing-cycle-edge.edgelist": "1 2\n2 3\n",
     "repeated-edge.edgelist": "1 2\n2 3\n3 1\n2 1\n",
+    "two-repeated-edges.edgelist": "2 3\n1 2\n3 1\n2 3\n1 2\n",  # the least is named
     "self-loop.edgelist": "1 2\n2 3\n3 1\n2 2\n",
     "dot-header.edgelist": "graph {\n  1 -- 2;\n}\n",
     "huge-label.edgelist": "1 2\n2 100000\n",
@@ -39,6 +42,7 @@ REFUSED = {
     "arrow.dot": "graph {\n  1 -> 2;\n}\n",
     "no-edges.dot": "graph {\n}\n",
     "zero-label.dot": "graph {\n  0 -- 1;\n}\n",
+    "empty.graph6": "",
     "two-lines.graph6": "Bw\nBw\n",
     "truncated-bits.graph6": "B\n",
     "bad-padding.graph6": "B@\n",
