@@ -30,7 +30,7 @@ class Extension(NamedTuple):
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization of n >= 1 by trial division, as (prime, exponent) pairs."""
+    """Prime factorization of n by trial division, as (prime, exponent) pairs; [] for n < 2."""
     factors, d = [], 2
     while d * d <= n:
         e = 0

@@ -182,7 +182,7 @@ def _to_graph6(graph: ChordedCycleGraph) -> str:
 
 def _from_graph6(line: str) -> tuple[int, list[tuple[int, int]]]:
     data = [ord(ch) - 63 for ch in line]
-    if not data or not all(0 <= d < 64 for d in data):
+    if not all(0 <= d < 64 for d in data):
         raise ValueError("invalid graph6 characters")
     if data[0] < 63:
         n, data = data[0], data[1:]

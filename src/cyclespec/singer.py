@@ -37,8 +37,6 @@ class PerfectDifferenceSet:
 
 def prime_power(q: int) -> tuple[int, int] | None:
     """Decompose q as p^m for a single prime p; None when impossible."""
-    if q < 2:
-        return None
     factors = ff.factorize(q)
     if len(factors) != 1:
         return None

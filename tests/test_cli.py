@@ -52,6 +52,16 @@ class TestSpectrum:
         assert code == 2 and cli.BUDGET_ENV in err
 
 
+class TestTable:
+    def test_enumeration_missing_the_hamilton_cycle_fails(self, capsys, monkeypatch):
+        # the census always holds n, so the equality alone catches its loss
+        original = cli.oracle.enumerate_cycles
+        monkeypatch.setattr(cli.oracle, "enumerate_cycles", lambda graph: original(graph)[:-1])
+        code, out, _ = run_cli(capsys, "table", "3")
+        rows = [line.split("\t") for line in out.splitlines()[2:]]
+        assert code == 1 and [(row[0], row[-1]) for row in rows] == [("2", "fail"), ("3", "fail")]
+
+
 class TestIntegerArguments:
     """q, n, qmax and budgets are an optional minus sign and ASCII digits."""
 

@@ -41,6 +41,8 @@ class TestDerivation:
             cycleset.derive_cycle_set(singer.PerfectDifferenceSet(5, (0, 2, 3)))
         with pytest.raises(ValueError, match=PERFECT):
             cycleset.derive_cycle_set(singer.PerfectDifferenceSet(13, (0, 2)))
+        with pytest.raises(ValueError, match=PERFECT):  # perfect, but k = 2
+            cycleset.derive_cycle_set(singer.PerfectDifferenceSet(3, (0, 1)))
 
     def test_no_pair_at_difference_two(self):
         with pytest.raises(ValueError, match=PERFECT):

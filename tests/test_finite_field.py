@@ -105,6 +105,8 @@ class TestIrreducibles:
             ff.extend(GF2, (0, 0, 1))
         with pytest.raises(ValueError, match="monic"):
             ff.extend(GF3, (1, 0, 2))
+        with pytest.raises(ValueError, match="degree at least 1"):
+            ff.extend(GF2, (1,))  # a constant
 
     def test_every_returned_modulus_has_no_root(self):
         for base, degree in [(GF2, 2), (GF2, 3), (GF3, 2), (GF3, 3), (GF7, 2)]:

@@ -45,13 +45,19 @@ class TestConstruction:
         with pytest.raises(ValueError):
             graphs.ChordedCycleGraph(2)
 
-    def test_build_graph_needs_three_vertices(self):
+    def test_needs_three_vertices(self):
         with _raises("need at least 3 vertices"):
             graphs.build_graph(2, ())
+        with _raises("need at least 3 vertices"):
+            graphs.predicted_spectrum(2, ())  # builds no ChordedCycleGraph to check n
 
     def test_chord_validation(self):
         with _raises("bad chord (2, 2) on 6 vertices"):
             graphs.ChordedCycleGraph(6, ((2, 2),))       # self loop
+        with _raises("bad chord (0, 3) on 6 vertices"):
+            graphs.ChordedCycleGraph(6, ((0, 3),))       # below 1
+        with _raises("bad chord (2, 9) on 6 vertices"):
+            graphs.ChordedCycleGraph(6, ((2, 9),))       # beyond n
         with _raises("chord (1, 2) duplicates a cycle edge"):
             graphs.ChordedCycleGraph(6, ((1, 2),))       # already a cycle edge
         with _raises("chord (6, 1) duplicates a cycle edge"):
@@ -71,6 +77,7 @@ class TestPredictedSpectrum:
         assert graphs.predicted_spectrum(7, [6]) == (3, 6, 7)
         assert graphs.predicted_spectrum(13, [8, 12]) == (3, 6, 7, 8, 12, 13)
         assert graphs.predicted_spectrum(9, []) == (9,)
+        assert graphs.predicted_spectrum(13, (12, 8)) == (3, 6, 7, 8, 12, 13)  # any order
 
     def test_count_formula(self):
         rng = random.Random(21)
@@ -231,6 +238,8 @@ class TestImport:
     def test_self_loop_rejected(self):
         with _raises("bad chord (2, 2) on 3 vertices"):
             graphs.import_graph("1 2\n2 3\n3 1\n2 2\n", "edgelist")
+        with _raises("bad chord (2, 2) on 3 vertices"):  # the least is named
+            graphs.import_graph("1 2\n2 3\n3 1\n3 3\n2 2\n", "edgelist")
 
     def test_dot_malformed(self):
         with _raises("line 2: expected 'u -- v;', got '  1 -- 2'"):

@@ -212,7 +212,7 @@ class TestBounds:
     def test_exact_rational_other_moduli(self):
         assert oracle.singer_lower_bound_exact(5) is None  # 17 is not a square
         assert oracle.singer_lower_bound_exact(1) == 0
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need n >= 1"):  # not isqrt's own error
             oracle.singer_lower_bound_exact(0)
 
     def test_bounds_hold_on_pipeline_graphs(self):
@@ -222,11 +222,16 @@ class TestBounds:
             assert report["pair_bound_ok"] and report["crossing_bound_ok"]
 
     def test_inconsistency_guard(self):
-        # six chord pairs on five vertices cannot be repeat-free; faking a
-        # clean spectrum must trip the internal check
-        graph = ChordedCycleGraph(5, ((1, 3), (1, 4), (2, 4), (2, 5)))
-        with pytest.raises(oracle.InternalInconsistency):
-            oracle.bound_report(graph, (3, 4, 5))
+        # no graph below is repeat-free; faking a clean spectrum must trip the
+        # internal check when either bound fails: both (six chord pairs, three
+        # crossing, on five vertices), only the pair bound (ten pairs, none
+        # crossing, on ten) or only the crossing bound (six pairs, four
+        # crossing, on seven)
+        for graph in (ChordedCycleGraph(5, ((1, 3), (1, 4), (2, 4), (2, 5))),
+                      graphs.build_graph(10, (3, 4, 5, 6, 7)),
+                      ChordedCycleGraph(7, ((1, 3), (1, 4), (2, 5), (3, 6)))):
+            with pytest.raises(oracle.InternalInconsistency):
+                oracle.bound_report(graph, (3, 4, 5))
 
     def test_failing_bound_reported_when_repeats_present(self):
         graph = ChordedCycleGraph(5, ((1, 3), (1, 4), (2, 4), (2, 5)))

@@ -635,6 +635,13 @@ class TestExactSearch:
         with pytest.raises(ValueError, match="^budget must be positive$"):
             search.exact_g(100, budget=0)
 
+    def test_witness_recheck_refuses_a_repeat(self, monkeypatch):
+        original = oracle.enumerate_cycles
+        monkeypatch.setattr(oracle, "enumerate_cycles",
+                            lambda graph: original(graph) + (graph.n,))
+        with pytest.raises(oracle.InternalInconsistency, match="witness re-check"):
+            search.exact_g(8)
+
     def test_repeats_never_recover(self):
         # once a length repeats, any extension still repeats: the reason the
         # search may cut entire subtrees

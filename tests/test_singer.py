@@ -182,6 +182,11 @@ class TestVerifier:
         assert singer.verify_perfect_difference_set(
             singer.PerfectDifferenceSet(1, (0,)))
 
+    def test_empty_set(self):
+        # the range check has no element to look at; nothing is covered
+        assert singer.verify_perfect_difference_set(
+            singer.PerfectDifferenceSet(5, ())) is False
+
     @pytest.mark.parametrize("q", [q for q in PRIME_POWERS if q <= 64])
     def test_corrupted_sets_match_sorted_differences(self, q):
         diffset = singer.singer_difference_set(q)
@@ -209,6 +214,8 @@ class TestVerifier:
             singer.PerfectDifferenceSet(7, (1, 1, 4))
         with pytest.raises(ValueError):
             singer.PerfectDifferenceSet(7, (1, 2, 7))
+        with pytest.raises(ValueError, match=r"^elements must lie in 0\.\.6$"):
+            singer.PerfectDifferenceSet(7, (-1, 3))
 
     def test_zero_modulus_rejected(self):
         with pytest.raises(ValueError, match="^modulus must be positive$"):
