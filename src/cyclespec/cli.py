@@ -10,14 +10,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import pathlib
 import sys
 
 from . import cycleset, graphs, oracle, search, singer
 
 SCHEMA = "cyclespec/1"
-BUDGET_ENV = "CYCLESPEC_BUDGET"
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -48,25 +46,12 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         p.add_argument(positional, type=str if positional == "file" else _integer)
         if budget is not None:
-            p.add_argument("--budget", type=_integer, metavar=budget)
+            metavar, default = budget
+            p.add_argument("--budget", type=_integer, metavar=metavar, default=default)
         p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--output", metavar="FILE",
                        help="write data here instead of stdout")
     return parser
-
-
-def _effective_budget(args: argparse.Namespace, fallback: int) -> int:
-    """--budget, else $CYCLESPEC_BUDGET, else the fallback; the layer that
-    spends the budget refuses one below 1."""
-    if args.budget is not None:
-        return args.budget
-    raw = os.environ.get(BUDGET_ENV)
-    if raw is None:
-        return fallback
-    try:
-        return _integer(raw)
-    except argparse.ArgumentTypeError:
-        raise ValueError(f"{BUDGET_ENV} must be an integer, got {raw!r}")
 
 
 def _cell(key: str, value) -> str:
@@ -142,16 +127,14 @@ def _cmd_build(args: argparse.Namespace) -> tuple[int, str]:
 def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
     text = pathlib.Path(args.file).read_text()
     graph = graphs.import_graph(text, args.format)
-    budget = _effective_budget(args, oracle.DEFAULT_CYCLE_BUDGET)
-    report = oracle.verification_report(graph, budget=budget)
+    report = oracle.verification_report(graph, budget=args.budget)
     return (EXIT_VERIFICATION if report["repeated"] else EXIT_OK), report
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> tuple[int, dict]:
     diffset, trace, graph = _construction(args.q)
-    budget = _effective_budget(args, oracle.DEFAULT_CYCLE_BUDGET)
     predicted = graphs.predicted_spectrum(diffset.n, trace.anchors)
-    enumerated = oracle.enumerate_cycles(graph, budget=budget)
+    enumerated = oracle.enumerate_cycles(graph, budget=args.budget)
     equal = predicted == enumerated
     return (EXIT_OK if equal else EXIT_VERIFICATION), {
         "q": args.q,
@@ -163,8 +146,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> tuple[int, dict]:
 
 
 def _cmd_exact_g(args: argparse.Namespace) -> tuple[int, dict]:
-    budget = _effective_budget(args, search.DEFAULT_NODE_BUDGET)
-    result = search.exact_g(args.n, budget=budget)
+    result = search.exact_g(args.n, budget=args.budget)
     return (EXIT_OK if result.exhaustive else EXIT_BUDGET), {
         "n": result.n,
         "g": result.g_value,
@@ -185,14 +167,13 @@ def _cmd_table(args: argparse.Namespace) -> tuple[int, dict]:
         # equal to the census, it repeats no length (derive refuses a census
         # that does) and holds the Hamilton cycle's length n
         ok = predicted == enumerated
-        exact = oracle.singer_lower_bound_exact(diffset.n)  # q^2 + 2q, an integer
         rows.append({
             "q": q,
             "n": diffset.n,
             "size": len(trace.anchors),
             "edges": graph.edge_count,
             "construction": q * q + 2 * q,
-            "bound": int(exact),
+            "bound": oracle.singer_lower_bound_exact(diffset.n),  # q^2 + 2q
             "verified": ok,
         })
     all_ok = all(row["verified"] for row in rows)
@@ -200,8 +181,8 @@ def _cmd_table(args: argparse.Namespace) -> tuple[int, dict]:
 
 
 # One row per subcommand, in --help order: handler, positional argument,
-# help text, --format choices (the first is the default), --budget metavar
-# (None: no --budget).
+# help text, --format choices (the first is the default), --budget metavar and
+# default (None: no --budget).
 _COMMANDS = {
     "singer": (_cmd_singer, "q", "perfect difference set for prime power q",
                ("tsv", "json"), None),
@@ -210,11 +191,12 @@ _COMMANDS = {
     "build": (_cmd_build, "q", "serialize the chorded cycle graph for q",
               graphs.FORMATS, None),
     "verify": (_cmd_verify, "file", "enumerate cycles of a serialized graph "
-               "and report spectrum and bounds as JSON", graphs.FORMATS, "CYCLES"),
+               "and report spectrum and bounds as JSON", graphs.FORMATS,
+               ("CYCLES", oracle.DEFAULT_CYCLE_BUDGET)),
     "spectrum": (_cmd_spectrum, "q", "predicted vs enumerated spectrum for q",
-                 ("tsv", "json"), "CYCLES"),
+                 ("tsv", "json"), ("CYCLES", oracle.DEFAULT_CYCLE_BUDGET)),
     "exact-g": (_cmd_exact_g, "n", "exhaustive maximum-edge search for n",
-                ("tsv", "json"), "NODES"),
+                ("tsv", "json"), ("NODES", search.DEFAULT_NODE_BUDGET)),
     "table": (_cmd_table, "qmax", "one verified construction row per prime "
               "power q <= qmax", ("tsv", "json"), None),
 }

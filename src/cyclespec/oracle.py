@@ -9,7 +9,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterable
-from fractions import Fraction
 
 from .graphs import ChordedCycleGraph
 
@@ -17,11 +16,7 @@ DEFAULT_CYCLE_BUDGET = 10 ** 6
 
 
 class BudgetExceeded(RuntimeError):
-    """Cycle enumeration passed its budget: ``budget`` cycles were found."""
-
-    def __init__(self, budget: int):
-        super().__init__(f"cycle budget {budget} exceeded; {budget} cycles found")
-        self.budget = budget
+    """Cycle enumeration passed its budget: as many cycles were found."""
 
 
 class InternalInconsistency(RuntimeError):
@@ -76,7 +71,8 @@ def enumerate_cycles(graph: ChordedCycleGraph,
                 vertex, seen, total = stack.pop()
                 for back in closing.get(vertex, ()):
                     if len(lengths) >= budget:
-                        raise BudgetExceeded(budget)
+                        raise BudgetExceeded(f"cycle budget {budget} exceeded; "
+                                             f"{budget} cycles found")
                     lengths.append(total + back)
                 if targets & ~seen:  # some way back to start still open
                     for other, bit, step in steps[vertex]:
@@ -139,20 +135,20 @@ def bound_report(graph: ChordedCycleGraph, spectrum: Iterable[int]) -> dict:
     return report
 
 
-def singer_lower_bound_exact(n: int) -> Fraction | None:
-    """n + sqrt(n - 3/4) - 3/2 as an exact rational, when the root is rational.
+def singer_lower_bound_exact(n: int) -> int | None:
+    """n + sqrt(n - 3/4) - 3/2 exactly, when the root is rational.
 
     sqrt(n - 3/4) = sqrt(4n - 3) / 2 is rational exactly when 4n - 3 is a
-    perfect (odd) square, which covers every n of the form q^2 + q + 1:
-    there 4n - 3 = (2q + 1)^2 and the whole expression collapses to
-    q^2 + 2q.
+    perfect square.  4n - 3 is odd, so is its root, and the value is the
+    integer n + (root - 3) / 2.  That covers every n of the form
+    q^2 + q + 1: there 4n - 3 = (2q + 1)^2 and the value is q^2 + 2q.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     root = math.isqrt(4 * n - 3)
     if root * root != 4 * n - 3:
         return None
-    return Fraction(n) + Fraction(root, 2) - Fraction(3, 2)
+    return n + (root - 3) // 2
 
 
 def verification_report(graph: ChordedCycleGraph,

@@ -20,7 +20,7 @@ replaced, and the exit code is 1 if there is any.
 Standard library only; the name keeps pytest from collecting it.  Run it
 by hand, naming modules (the default is all of them):
 
-    PYTHONPATH=src python tests/mutants.py cli cycleset singer
+    PYTHONPATH=src python tests/mutants.py cli cycleset graphs oracle singer
 """
 
 from __future__ import annotations

@@ -1,11 +1,10 @@
 """CLI behaviour the golden grid cannot pin.
 
 ``golden/cli.json`` owns the stdout, stderr and exit code of every command
-line in ``test_cli_golden.py``, which runs them with ``CYCLESPEC_BUDGET``
-cleared and without ``--output``.  The rest is tested here: the budget
-environment variable, ``--output`` files, paths that cannot be read or
-written, an integer too long for a grid key, parser reuse, the README's
-command list and the module entry point.
+line in ``test_cli_golden.py``, which runs them without ``--output``.  The
+rest is tested here: the default budget each command parses, ``--output``
+files, paths that cannot be read or written, an integer too long for a grid
+key, parser reuse, the README's command list and the module entry point.
 """
 
 import json
@@ -14,15 +13,10 @@ import re
 
 import pytest
 
-from cyclespec import cli
+from cyclespec import cli, oracle, search
 
 GOLDEN = json.loads((pathlib.Path(__file__).parent / "golden" / "cli.json")
                     .read_text(encoding="utf-8"))
-
-
-@pytest.fixture(autouse=True)
-def _clean_budget_env(monkeypatch):
-    monkeypatch.delenv(cli.BUDGET_ENV, raising=False)
 
 
 def run_cli(capsys, *argv):
@@ -35,21 +29,6 @@ class TestVerify:
     def test_unreadable_file(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "verify", str(tmp_path / "missing.txt"))
         assert code == 2 and out == "" and "error:" in err
-
-
-class TestSpectrum:
-    def test_budget_from_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.BUDGET_ENV, "2")
-        assert run_cli(capsys, "spectrum", "2")[0] == 3
-
-    def test_flag_overrides_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.BUDGET_ENV, "2")
-        assert run_cli(capsys, "spectrum", "2", "--budget", "100")[0] == 0
-
-    def test_invalid_environment_budget(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.BUDGET_ENV, "pebbles")
-        code, _, err = run_cli(capsys, "spectrum", "2")
-        assert code == 2 and cli.BUDGET_ENV in err
 
 
 class TestTable:
@@ -74,11 +53,22 @@ class TestIntegerArguments:
         assert captured.out == ""
         assert captured.err.endswith(f": invalid int value: {digits!r}\n")
 
-    def test_environment_budget_refused(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.BUDGET_ENV, " \u0663 ")
-        code, out, err = run_cli(capsys, "spectrum", "2")
-        assert (code, out) == (2, "")
-        assert err == f"error: {cli.BUDGET_ENV} must be an integer, got ' \u0663 '\n"
+
+class TestBudgetDefaults:
+    """No golden row tells the two defaults apart: every exact-g row there
+    needs at most 235 nodes."""
+
+    @pytest.mark.parametrize("argv, budget", [
+        ("verify g.txt", oracle.DEFAULT_CYCLE_BUDGET),
+        ("spectrum 3", oracle.DEFAULT_CYCLE_BUDGET),
+        ("exact-g 5", search.DEFAULT_NODE_BUDGET),
+    ], ids=["verify", "spectrum", "exact-g"])
+    def test_parser_carries_the_default(self, argv, budget):
+        assert cli.build_parser().parse_args(argv.split()).budget == budget
+
+    @pytest.mark.parametrize("command", ["singer", "derive", "build", "table"])
+    def test_no_budget_elsewhere(self, command):
+        assert not hasattr(cli.build_parser().parse_args([command, "3"]), "budget")
 
 
 class TestHarness:

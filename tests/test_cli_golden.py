@@ -131,14 +131,12 @@ def test_grid_is_recorded(golden):
 @pytest.mark.parametrize("line", COMMAND_LINES,
                          ids=[line.replace(" ", "_") for line in COMMAND_LINES])
 def test_output_matches_golden(line, golden, tmp_path, monkeypatch):
-    monkeypatch.delenv(cli.BUDGET_ENV, raising=False)
     monkeypatch.setenv("COLUMNS", "80")
     assert _invoke(line, golden, tmp_path) == golden[line]
 
 
 def _record() -> None:
     import tempfile
-    os.environ.pop(cli.BUDGET_ENV, None)
     os.environ["COLUMNS"] = "80"
     recorded: dict = {}
     with tempfile.TemporaryDirectory() as workdir:

@@ -31,9 +31,8 @@ class TestEnumerate:
 
     def test_budget_exhaustion(self):
         graph = ChordedCycleGraph(4, ((1, 3),))
-        with pytest.raises(oracle.BudgetExceeded) as info:
+        with pytest.raises(oracle.BudgetExceeded):
             oracle.enumerate_cycles(graph, budget=2)
-        assert info.value.budget == 2
         with pytest.raises(ValueError):
             oracle.enumerate_cycles(graph, budget=0)
 
