@@ -2,7 +2,8 @@
 
 Data goes to stdout (or --output), diagnostics to stderr.  Exit codes:
 0 success, 1 verification failure, 2 invalid arguments or input,
-3 budget exhaustion.  Identical invocations produce identical bytes.
+3 budget exhaustion, 4 internal inconsistency (a re-check that failed, which
+means a bug here).  Identical invocations produce identical bytes.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _integer(text: str) -> int:
@@ -215,6 +217,9 @@ def main(argv: list[str] | None = None) -> int:
     except oracle.BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except oracle.InternalInconsistency as exc:
+        print(f"error: internal inconsistency: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (ValueError, OSError) as exc:
         # parse, range and budget errors; unreadable input, unwritable output
         print(f"error: {exc}", file=sys.stderr)

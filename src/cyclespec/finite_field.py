@@ -76,12 +76,28 @@ def proper_factor(field: Field, poly) -> tuple[int, ...] | None:
 
 
 def find_irreducible(base: Field, degree: int) -> tuple[int, ...]:
-    """Canonically smallest monic irreducible of the given degree over base."""
+    """Canonically smallest monic irreducible of the given degree over base.
+
+    The canonical order runs through blocks of |F| candidates c0 + x h(x)
+    with h fixed.  Such a candidate has the root t exactly when c0 = -t h(t),
+    so one pass over t collects the block's root image.  A c0 outside it
+    has no root, which for degree <= 3 proves irreducibility; a higher
+    degree still goes through ``proper_factor``.
+    """
     if degree < 2:
         raise ValueError("degree must be at least 2")
-    for candidate in monic_polynomials(base, degree):
-        if proper_factor(base, candidate) is None:
-            return candidate
+    add, mul, minus_one = base.add, base.mul, base.characteristic - 1
+    for upper in monic_polynomials(base, degree - 1):
+        image = set()
+        for t in range(base.order):
+            value = 0
+            for c in reversed(upper):
+                value = add(mul(value, t), c)
+            image.add(mul(minus_one, mul(value, t)))
+        for c0 in range(base.order):
+            candidate = (c0,) + upper
+            if c0 not in image and (degree <= 3 or proper_factor(base, candidate) is None):
+                return candidate
     raise AssertionError("finite fields admit irreducibles of every degree")
 
 

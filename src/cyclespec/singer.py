@@ -66,16 +66,23 @@ def singer_difference_set(q: int) -> PerfectDifferenceSet:
     top = ff.extend(mid, ff.find_irreducible(mid, 3))
     gamma = ff.element(top, ff.find_primitive(top))
     # Multiplying by gamma is the 3x3 matrix with columns gamma, gamma x, gamma x^2.
+    # Its characteristic polynomial x^3 - s2 x^2 - s1 x - s0 has s2 the trace,
+    # s1 minus the sum of the principal 2x2 minors and s0 the determinant, so
+    # by Cayley-Hamilton the top coordinate w(e) of gamma^e obeys
+    # w(e + 3) = s2 w(e + 2) + s1 w(e + 1) + s0 w(e), from w(0) = 0.
     (a, d, g), (b, e, h), (c, f, i) = (ff.multiply(top, gamma, ff.element(top, q ** j))
                                        for j in range(3))
     add, mul, n = mid.add, mid.mul, q * q + q + 1
-    elements, (u, v, w) = [], (1, 0, 0)
+    minor = lambda x, y, z, t: add(mul(x, y), mul(p - 1, mul(z, t)))  # xy - zt; -1 is p - 1
+    s2 = add(add(a, e), i)
+    s1 = add(add(minor(b, d, a, e), minor(c, g, a, i)), minor(f, h, e, i))
+    s0 = add(add(mul(a, minor(e, i, f, h)), mul(b, minor(f, g, d, i))),
+             mul(c, minor(d, h, e, g)))
+    elements, (u, v, w) = [], (0, g, ff.multiply(top, gamma, gamma)[2])
     for exponent in range(n):
-        if w == 0:
+        if u == 0:
             elements.append(exponent)
-        u, v, w = (add(add(mul(a, u), mul(b, v)), mul(c, w)),
-                   add(add(mul(d, u), mul(e, v)), mul(f, w)),
-                   add(add(mul(g, u), mul(h, v)), mul(i, w)))
+        u, v, w = v, w, add(add(mul(s2, w), mul(s1, v)), mul(s0, u))
     return PerfectDifferenceSet(n, tuple(elements))
 
 

@@ -16,8 +16,8 @@ import networkx  # noqa: F401
 import pytest
 
 from cyclespec import singer
-from references import reference_choices
-from test_finite_field import choices
+from references import matrix_walk, reference_choices
+from test_finite_field import check_irreducibles, choices
 from test_oracle import cross_check_enumerators
 from test_search import (FROZEN_NODES, PLAIN_CAP_NODES, check_counting_cap, check_readme_row,
                          zero_slack_lemma_mismatches)
@@ -28,6 +28,13 @@ def test_tower_matches_table_reference(q):
     # tier-1 compares q <= 64 with the table field and checks perfectness up to q = 128
     assert choices(q) == reference_choices(q)
     assert singer.verify_perfect_difference_set(singer.singer_difference_set(q))
+
+
+@pytest.mark.parametrize("q", [q for q in range(65, 257) if singer.prime_power(q)])
+def test_fast_paths_match_the_paths_they_replaced(q):
+    # tier-1 compares them for q <= 64
+    check_irreducibles(q)
+    assert singer.singer_difference_set(q).elements == matrix_walk(q)
 
 
 @pytest.mark.parametrize("n", [n for n in FROZEN_NODES if n > 22])

@@ -372,6 +372,13 @@ def tower(q):
     return mid, ff.extend(mid, ff.find_irreducible(mid, 3))
 
 
+def trial_division_irreducible(base, degree):
+    """The search ``find_irreducible`` replaced: the first monic polynomial of
+    ``degree`` in canonical order that ``proper_factor`` finds no factor of."""
+    return next(poly for poly in ff.monic_polynomials(base, degree)
+                if ff.proper_factor(base, poly) is None)
+
+
 def index_of(coords, base):
     return sum(c * base ** i for i, c in enumerate(coords))
 
@@ -556,6 +563,25 @@ def full_walk(q: int) -> tuple[int, ...]:
             residues.add(exponent % n)
         power = ff.multiply(top, power, gamma)
     return tuple(sorted(residues))
+
+
+def matrix_walk(q: int) -> tuple[int, ...]:
+    """The walk the three-term recurrence replaced: one period of powers of the
+    same primitive element, each from the last by the 3x3 matrix over GF(q)
+    of multiplication by it, keeping the exponents with vanishing top coordinate."""
+    mid, top = tower(q)
+    gamma = ff.element(top, ff.find_primitive(top))
+    (a, d, g), (b, e, h), (c, f, i) = (ff.multiply(top, gamma, ff.element(top, q ** j))
+                                       for j in range(3))
+    add, mul = mid.add, mid.mul
+    elements, (u, v, w) = [], (1, 0, 0)
+    for exponent in range(q * q + q + 1):
+        if w == 0:
+            elements.append(exponent)
+        u, v, w = (add(add(mul(a, u), mul(b, v)), mul(c, w)),
+                   add(add(mul(d, u), mul(e, v)), mul(f, w)),
+                   add(add(mul(g, u), mul(h, v)), mul(i, w)))
+    return tuple(elements)
 
 
 def sorted_differences_perfect(candidate):

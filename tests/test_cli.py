@@ -4,7 +4,8 @@
 line in ``test_cli_golden.py``, which runs them without ``--output``.  The
 rest is tested here: the default budget each command parses, ``--output``
 files, paths that cannot be read or written, an integer too long for a grid
-key, parser reuse, the README's command list and the module entry point.
+key, a failed internal re-check, parser reuse, the README's command list and
+the module entry point.
 """
 
 import json
@@ -52,6 +53,20 @@ class TestIntegerArguments:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.endswith(f": invalid int value: {digits!r}\n")
+
+
+class TestInternalInconsistency:
+    def test_failed_recheck_exits_four(self, capsys, monkeypatch):
+        # no real input reaches a failed re-check, so one is faked: every
+        # enumeration repeats the Hamilton cycle, which exact_g's witness
+        # re-check refuses
+        original = oracle.enumerate_cycles
+        monkeypatch.setattr(oracle, "enumerate_cycles",
+                            lambda graph: original(graph) + (graph.n,))
+        code, out, err = run_cli(capsys, "exact-g", "8")
+        assert (code, out) == (4, "")
+        assert err == ("error: internal inconsistency: "
+                       "witness re-check found a repeated length\n")
 
 
 class TestBudgetDefaults:

@@ -11,7 +11,7 @@ from cyclespec import singer
 from references import (Tables, element_order, extension, index_of, naive_product,
                         naive_triple_product, poly_mod, poly_mul, reference_choices,
                         reference_primitive, reference_tower, table_extension, table_irreducible,
-                        table_prime_field, tables, tower)
+                        table_prime_field, tables, tower, trial_division_irreducible)
 
 
 GF2 = ff.prime_field(2)
@@ -45,12 +45,26 @@ def choices(q):
             singer.singer_difference_set(q).elements)
 
 
+def check_irreducibles(q):
+    """find_irreducible against trial division on the moduli of q's tower: the
+    cubic over GF(q) and, for q = p^m with m > 1, the degree-m one over GF(p)."""
+    (p, m), = ff.factorize(q)
+    mid, _ = tower(q)
+    for base, degree in [(mid, 3)] + ([(ff.prime_field(p), m)] if m > 1 else []):
+        assert ff.find_irreducible(base, degree) == trial_division_irreducible(base, degree)
+
+
 GF8_TABLES = table_extension(table_prime_field(2), (1, 1, 0, 1))
 
 
 @pytest.mark.parametrize("q", PRIME_POWERS_TO_64)
 def test_tower_matches_table_reference(q):
     assert choices(q) == reference_choices(q)
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_TO_64)
+def test_irreducibles_match_trial_division(q):
+    check_irreducibles(q)
 
 
 class TestPrimeField:
@@ -107,6 +121,20 @@ class TestIrreducibles:
             ff.extend(GF3, (1, 0, 2))
         with pytest.raises(ValueError, match="degree at least 1"):
             ff.extend(GF2, (1,))  # a constant
+
+    def test_cubic_search_is_linear_in_q(self, monkeypatch):
+        # 509 = 2 mod 3, so every x^3 + c has a root and the search reaches the
+        # block x^3 + x + c: two passes over t, 5 products each, and no trial
+        # division.  Trial division made 782,730 products in 513 calls.
+        products, trials = [], []
+        field = ff.prime_field(509)
+        counting = field._replace(mul=lambda a, b: products.append(1) or field.mul(a, b))
+        proper_factor = ff.proper_factor
+        monkeypatch.setattr(ff, "proper_factor",
+                            lambda *args: trials.append(args) or proper_factor(*args))
+        assert ff.find_irreducible(counting, 3) == (3, 1, 0, 1)
+        assert len(products) <= 10 * 509
+        assert trials == []
 
     def test_every_returned_modulus_has_no_root(self):
         for base, degree in [(GF2, 2), (GF2, 3), (GF3, 2), (GF3, 3), (GF7, 2)]:

@@ -6,8 +6,8 @@ import tracemalloc
 import pytest
 
 from cyclespec import cli, finite_field, singer
-from references import (brute_force_difference_set, full_walk, sorted_differences_perfect,
-                        translate)
+from references import (brute_force_difference_set, full_walk, matrix_walk,
+                        sorted_differences_perfect, translate)
 
 
 PRIME_POWERS = [q for q in range(2, 129) if singer.prime_power(q)]
@@ -92,10 +92,16 @@ def test_one_period_matches_full_walk(q):
     assert singer.singer_difference_set(q).elements == full_walk(q)
 
 
+@pytest.mark.parametrize("q", [q for q in range(2, 65) if singer.prime_power(q)])
+def test_recurrence_matches_matrix_walk(q):
+    assert singer.singer_difference_set(q).elements == matrix_walk(q)
+
+
 def test_walk_covers_one_period(monkeypatch):
     # Every GF(23) product is counted.  The walk starts after the last GF(23^3)
-    # product, which builds its matrix, and each step applies that 3x3 matrix:
-    # nine products.  One period is n = 553 steps, the full walk 23^3 - 1.
+    # product, which gives the seed w(2), and each step is the three-term
+    # recurrence: three products.  One period is n = 553 steps, the full walk
+    # 23^3 - 1.
     products, last_multiply = [], []
     prime_field, multiply = finite_field.prime_field, finite_field.multiply
 
@@ -111,7 +117,7 @@ def test_walk_covers_one_period(monkeypatch):
     monkeypatch.setattr(finite_field, "prime_field", counting_field)
     monkeypatch.setattr(finite_field, "multiply", recording_multiply)
     singer.singer_difference_set(23)
-    steps, rest = divmod(len(products) - last_multiply[-1], 9)
+    steps, rest = divmod(len(products) - last_multiply[-1], 3)
     assert (steps, rest) == (23 * 23 + 23 + 1, 0)
 
 
