@@ -101,15 +101,12 @@ def find_irreducible(base: Field, degree: int) -> tuple[int, ...]:
     raise AssertionError("finite fields admit irreducibles of every degree")
 
 
-def extend(base: Field, modulus) -> Extension:
-    """The extension field base[x]/(modulus), for a monic irreducible modulus."""
-    if len(modulus) < 2 or modulus[-1] != 1:
-        raise ValueError("modulus must be monic of degree at least 1")
-    factor = proper_factor(base, modulus)
-    if factor is not None:
-        raise ValueError(f"modulus {modulus} has factor {factor}")
+def extend(base: Field, degree: int) -> Extension:
+    """The canonical extension of ``degree`` >= 2: base[x] modulo ``find_irreducible``,
+    whose search proves its result irreducible, so no second proof is made here."""
+    modulus = find_irreducible(base, degree)
     fold = tuple(base.mul(base.characteristic - 1, c) for c in modulus[:-1])
-    return Extension(base, tuple(modulus), base.order ** len(fold), fold)
+    return Extension(base, modulus, base.order ** degree, fold)
 
 
 def element(field: Extension, index: int) -> tuple[int, ...]:
@@ -167,11 +164,11 @@ def find_primitive(field: Extension) -> int:
 
     A nonzero a generates it iff a^((|F| - 1) / r) != 1 for every prime r
     dividing |F| - 1, so |F| - 1 is factored once, for all candidates.  The
-    constants of a proper extension are skipped, as their units are too few.
+    constants are skipped, as their units are too few.
     """
     one = element(field, 1)
     cofactors = [(field.order - 1) // prime for prime, _ in factorize(field.order - 1)]
-    for index in range(field.base.order if len(one) > 1 else 1, field.order):
+    for index in range(field.base.order, field.order):
         a = element(field, index)
         if all(power(field, a, cofactor) != one for cofactor in cofactors):
             return index

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -79,12 +80,12 @@ def predicted_spectrum(n: int, values) -> tuple[int, ...]:
 
 
 # Per text format: the opening line, the edge-line template, the closing
-# line, and what the error message says a malformed edge line should be.
-# Between its two fields the template holds the separator (blank: any
-# whitespace) and after them the terminator of an edge line.
+# line, the pattern that a stripped edge line must match in full, and what
+# the error message says a malformed edge line should be.
 _TEXT_FORMATS = {
-    "edgelist": ("", "{} {}", "", "two vertex labels"),
-    "dot": ("graph {", "  {} -- {};", "}", "'u -- v;'"),
+    "edgelist": ("", "{} {}", "", re.compile(r"([0-9]+)\s+([0-9]+)"), "two vertex labels"),
+    "dot": ("graph {", "  {} -- {};", "}", re.compile(r"([0-9]+)\s*--\s*([0-9]+)\s*;"),
+            "'u -- v;'"),
 }
 FORMATS = (*_TEXT_FORMATS, "graph6")  # the names export_graph and import_graph take
 
@@ -99,7 +100,7 @@ def export_graph(graph: ChordedCycleGraph, fmt: str) -> str:
         return _to_graph6(graph) + "\n"
     if fmt not in _TEXT_FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
-    opening, template, closing, _ = _TEXT_FORMATS[fmt]
+    opening, template, closing, _, _ = _TEXT_FORMATS[fmt]
     lines = [template.format(u, v) for u, v in graph.cycle_edges() + list(graph.chords)]
     return "".join(line + "\n" for line in [opening, *lines, closing] if line)
 
@@ -125,19 +126,16 @@ def import_graph(text: str, fmt: str) -> ChordedCycleGraph:
 def _parse_edges(text: str, fmt: str) -> list[tuple[int, int]]:
     if fmt not in _TEXT_FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
-    opening, template, closing, expected = _TEXT_FORMATS[fmt]
-    _, separator, terminator = template.strip().split("{}")
+    opening, _, closing, pattern, expected = _TEXT_FORMATS[fmt]
     edges = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if stripped in ("", opening, closing):
             continue
-        parts = stripped.removesuffix(terminator).split(separator.strip() or None)
-        parts = [part.strip() for part in parts]
-        if (not stripped.endswith(terminator) or len(parts) != 2
-                or not all(part.isascii() and part.isdigit() for part in parts)):
+        match = pattern.fullmatch(stripped)
+        if match is None:
             raise ValueError(f"line {lineno}: expected {expected}, got {line!r}")
-        u, v = int(parts[0]), int(parts[1])
+        u, v = int(match[1]), int(match[2])
         if u < 1 or v < 1:
             raise ValueError(f"line {lineno}: vertex labels start at 1")
         edges.append((u, v))

@@ -62,8 +62,8 @@ def singer_difference_set(q: int) -> PerfectDifferenceSet:
         raise ValueError(f"{q} is not a prime power (nearest: {nearest})")
     p, m = decomposition
     ground = ff.prime_field(p)
-    mid = ground if m == 1 else ff.logarithms(ff.extend(ground, ff.find_irreducible(ground, m)))
-    top = ff.extend(mid, ff.find_irreducible(mid, 3))
+    mid = ground if m == 1 else ff.logarithms(ff.extend(ground, m))
+    top = ff.extend(mid, 3)
     gamma = ff.element(top, ff.find_primitive(top))
     # Multiplying by gamma is the 3x3 matrix with columns gamma, gamma x, gamma x^2.
     # Its characteristic polynomial x^3 - s2 x^2 - s1 x - s0 has s2 the trace,

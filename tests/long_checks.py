@@ -1,5 +1,5 @@
 """The long checks: the full ranges that the tier-1 tests sample, each run
-through the same helper as its tier-1 twin.  They take about 2 min, so the
+through the same helper as its tier-1 twin.  They take about 3 min, so the
 name keeps this module out of the default ``test_*.py`` collection; run it
 by path:
 
@@ -18,6 +18,7 @@ import pytest
 from cyclespec import singer
 from references import matrix_walk, reference_choices
 from test_finite_field import check_irreducibles, choices
+from test_graphs import parser_mismatches
 from test_oracle import cross_check_enumerators
 from test_search import (FROZEN_NODES, PLAIN_CAP_NODES, check_counting_cap, check_readme_row,
                          zero_slack_lemma_mismatches)
@@ -56,3 +57,10 @@ def test_counting_cap_gives_the_same_answers(n, monkeypatch):
 
 def test_contraction_matches_vertex_and_networkx_oracles():
     cross_check_enumerators(2000)
+
+
+def test_parser_matches_template_reference():
+    # tier-1 draws 20,000 lines per format
+    mismatches, parsed = parser_mismatches(1_000_000, seed=1)
+    assert mismatches == []
+    assert parsed == 347132  # of 2,000,000 lines

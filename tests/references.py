@@ -361,15 +361,14 @@ def counting_cap(n):
 # ------------------------------------------------------- finite fields
 
 def extension(p, degree):
-    base = ff.prime_field(p)
-    return ff.extend(base, ff.find_irreducible(base, degree))
+    return ff.extend(ff.prime_field(p), degree)
 
 
 def tower(q):
     """(GF(q), GF(q^3) over it) the way the Singer construction builds them."""
     (p, m), = ff.factorize(q)
     mid = ff.prime_field(p) if m == 1 else ff.logarithms(extension(p, m))
-    return mid, ff.extend(mid, ff.find_irreducible(mid, 3))
+    return mid, ff.extend(mid, 3)
 
 
 def trial_division_irreducible(base, degree):
@@ -639,3 +638,38 @@ def brute_force_difference_set(n: int, k: int) -> PerfectDifferenceSet | None:
         return None
 
     return search(1)
+
+
+# ------------------------------------------------------- graph text
+
+# The text formats as the template parser reads them, copied so that it does
+# not depend on ``graphs``: the opening line, the edge-line template, the
+# closing line and what a malformed edge line should be.  Between its two
+# fields the template holds the separator (blank: any whitespace) and after
+# them the terminator of an edge line.
+TEMPLATE_FORMATS = {
+    "edgelist": ("", "{} {}", "", "two vertex labels"),
+    "dot": ("graph {", "  {} -- {};", "}", "'u -- v;'"),
+}
+
+
+def template_parse_edges(text, fmt):
+    """The edge-line parser the per-format patterns of ``graphs`` replaced:
+    it works out each format's grammar from the export template."""
+    opening, template, closing, expected = TEMPLATE_FORMATS[fmt]
+    _, separator, terminator = template.strip().split("{}")
+    edges = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if stripped in ("", opening, closing):
+            continue
+        parts = stripped.removesuffix(terminator).split(separator.strip() or None)
+        parts = [part.strip() for part in parts]
+        if (not stripped.endswith(terminator) or len(parts) != 2
+                or not all(part.isascii() and part.isdigit() for part in parts)):
+            raise ValueError(f"line {lineno}: expected {expected}, got {line!r}")
+        u, v = int(parts[0]), int(parts[1])
+        if u < 1 or v < 1:
+            raise ValueError(f"line {lineno}: vertex labels start at 1")
+        edges.append((u, v))
+    return edges

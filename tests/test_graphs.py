@@ -9,12 +9,52 @@ import pytest
 
 import cyclespec
 from cyclespec import graphs, oracle
-from references import chord_pool, is_sidon, singer_graph
+from references import (TEMPLATE_FORMATS, chord_pool, is_sidon, singer_graph,
+                        template_parse_edges)
 
 
 def _raises(message):
     """ValueError whose message contains ``message`` verbatim."""
     return pytest.raises(ValueError, match=re.escape(message))
+
+
+# What the parser differential draws lines from: ASCII and Unicode
+# whitespace, ASCII and other scripts' digits, DOT's operators and braces,
+# its opening line and letters.
+_PIECES = (" ", "  ", "\t", "\u00a0", "\u2003", "\u3000", "0", "1", "7", "42",
+           "\u0663", "\u00b2", "\uff11", "\u0967", "-", "--", "->", ";", "{", "}",
+           "graph {", "a", "x")
+
+
+def parser_mismatches(count, seed):
+    """Parse ``count`` seeded random lines per text format with ``graphs`` and
+    with ``template_parse_edges``, the parser it replaced.  Returns the
+    lines whose edges or exact ValueError messages differ, and how many
+    lines gave edges.  Half the lines are an exported edge line with up to
+    three edits (insert, delete or replace one character by a piece), so
+    near-misses of each grammar are common; the rest join 1-7 pieces."""
+    rng = random.Random(seed)
+    mismatches, parsed = [], 0
+    for fmt, (_, template, _, _) in TEMPLATE_FORMATS.items():
+        for _ in range(count):
+            if rng.random() < 0.5:
+                line = list(template.format(rng.randrange(3), rng.randrange(100)))
+                for _ in range(rng.randrange(4)):
+                    at = rng.randrange(len(line) + 1)
+                    line[at:at + rng.randrange(2)] = rng.sample(_PIECES, rng.randrange(2))
+                line = "".join(line)
+            else:
+                line = "".join(rng.choices(_PIECES, k=rng.randrange(1, 8)))
+            outcomes = []
+            for parse in (graphs._parse_edges, template_parse_edges):
+                try:
+                    outcomes.append(parse(line, fmt))
+                except ValueError as exc:
+                    outcomes.append(str(exc))
+            if outcomes[0] != outcomes[1]:
+                mismatches.append((fmt, line, *outcomes))
+            parsed += isinstance(outcomes[0], list) and outcomes[0] != []
+    return mismatches, parsed
 
 
 class TestConstruction:
@@ -218,6 +258,12 @@ class TestImport:
                 ("", "no edges found")]:
             with _raises(message):
                 graphs.import_graph(text, "edgelist")
+
+    def test_parser_matches_template_reference(self):
+        # tests/long_checks.py draws 50 times as many lines
+        mismatches, parsed = parser_mismatches(20_000, seed=0)
+        assert mismatches == []
+        assert parsed == 6988  # of 40,000 lines; the rest are refused or skipped
 
     def test_non_ascii_digits_refused(self):
         # str.isdigit accepts these, int() rejects '²' and reads '٣' as 3
