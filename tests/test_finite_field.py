@@ -185,7 +185,10 @@ class TestInversesAndOrders:
     @pytest.mark.parametrize("p,degree", [
         (2, 3),  # |F| - 1 = 7 is prime
         (3, 2),  # |F| - 1 = 8 is a prime power
-    ], ids=["GF8", "GF9"])
+        (5, 2),  # x is no square, yet has order 8 of 24
+        (11, 2),  # 120 = 2^3 * 3 * 5: candidates fail on 3 alone and on 5 alone
+        (13, 2),  # 168 = 2^3 * 3 * 7: a candidate fails on 7 alone
+    ], ids=["GF8", "GF9", "GF25", "GF121", "GF169"])
     def test_primitive_matches_order_reference_on_small_fields(self, p, degree):
         ground = table_prime_field(p)
         assert (ff.find_primitive(extension(p, degree))
