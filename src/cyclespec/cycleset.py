@@ -42,6 +42,6 @@ def derive_cycle_set_trace(diffset: singer.PerfectDifferenceSet) -> CycleSetDeri
                          if (a - b) % n == 2)
     shifted = tuple(sorted((a - shift) % n or n for a in diffset.elements))
     anchors = tuple(x for x in shifted if x not in (2, n))
-    if oracle.has_repeated_length(graphs.predicted_spectrum(n, anchors)) is not None:
+    if oracle.has_repeat(graphs.predicted_spectrum(n, anchors)):
         raise oracle.InternalInconsistency(f"derived anchors {anchors} repeat a length")
     return CycleSetDerivation((anchor, shift), shifted, anchors)

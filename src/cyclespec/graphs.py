@@ -73,7 +73,7 @@ def predicted_spectrum(n: int, values) -> tuple[int, ...]:
     cycle of length b - a + 2: (2, n) the Hamilton cycle, (2, a) and (a, n)
     the two cycles through chord {1, a}, and two anchors the cycle through
     both chords.  The lengths, returned sorted, repeat exactly when the marks
-    are no Golomb ruler, which is for ``oracle.has_repeated_length`` to say.
+    are no Golomb ruler, which is for ``oracle.has_repeat`` to say.
     """
     marks = [2, *_checked_anchors(n, values), n]
     return tuple(sorted(b - a + 2 for a, b in itertools.combinations(marks, 2)))
@@ -163,19 +163,20 @@ def _assemble(n: int, edges: list[tuple[int, int]]) -> ChordedCycleGraph:
 # packed big-endian into 6-bit groups, each offset by 63.  The pair u < v
 # (labels from 1) is bit (v - 1)(v - 2)/2 + u - 1.
 GRAPH6_MAX_VERTICES = 258047  # the largest n the "~" + 3-byte header carries
+_GRAPH6_CHARACTERS = bytes.maketrans(bytes(range(64)), bytes(range(63, 127)))  # value + 63
 
 
 def _to_graph6(graph: ChordedCycleGraph) -> str:
     n = graph.n
     if n > GRAPH6_MAX_VERTICES:
         raise ValueError(f"graph6 output supports at most {GRAPH6_MAX_VERTICES} vertices")
-    groups = [0] * ((n * (n - 1) // 2 + 5) // 6)
+    groups = bytearray((n * (n - 1) // 2 + 5) // 6)
     for u, v in graph.cycle_edges() + list(graph.chords):
         u, v = min(u, v), max(u, v)
         index = (v - 1) * (v - 2) // 2 + u - 1
         groups[index // 6] |= 32 >> index % 6
-    header = [n] if n <= 62 else [63, n >> 12, (n >> 6) & 63, n & 63]
-    return "".join(chr(value + 63) for value in header + groups)
+    header = bytes([n] if n <= 62 else [63, n >> 12, (n >> 6) & 63, n & 63])
+    return (header + groups).translate(_GRAPH6_CHARACTERS).decode("ascii")
 
 
 def _from_graph6(line: str) -> tuple[int, list[tuple[int, int]]]:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable
+from collections.abc import Collection
 
 from .graphs import ChordedCycleGraph
 
@@ -83,14 +83,9 @@ def enumerate_cycles(graph: ChordedCycleGraph,
     return tuple(sorted(lengths))
 
 
-def has_repeated_length(lengths: Iterable[int]) -> int | None:
-    """Smallest length occurring at least twice, or None; any order."""
-    previous = None
-    for length in sorted(lengths):
-        if length == previous:
-            return length
-        previous = length
-    return None
+def has_repeat(lengths: Collection[int]) -> bool:
+    """Whether some length occurs at least twice; any order."""
+    return len(set(lengths)) < len(lengths)
 
 
 def crossing_pairs(graph: ChordedCycleGraph) -> int:
@@ -106,13 +101,14 @@ def crossing_pairs(graph: ChordedCycleGraph) -> int:
     return count
 
 
-def bound_report(graph: ChordedCycleGraph, spectrum: Iterable[int]) -> dict:
+def bound_report(graph: ChordedCycleGraph, repeated: bool) -> dict:
     """Chord-pair counting bounds evaluated on one graph, as an ordered dict.
 
     Every pair of chords supports at least one cycle through exactly those
     two chords, and crossing pairs support two, so on a repeat-free graph
     C(k, 2) < n (``pair_bound_ok``) and 2c + (C(k, 2) - c) <= n
-    (``crossing_bound_ok``) must both hold; their failure there is a bug.
+    (``crossing_bound_ok``) must both hold; their failure when ``repeated``
+    is false is a bug.
     ``edge_upper_bound`` is n + sqrt(2n) + 1 and ``singer_lower_bound`` is
     n + sqrt(n - 3/4) - 3/2.
     """
@@ -128,8 +124,7 @@ def bound_report(graph: ChordedCycleGraph, spectrum: Iterable[int]) -> dict:
         "edge_upper_bound": graph.n + math.sqrt(2 * graph.n) + 1,
         "singer_lower_bound": graph.n + math.sqrt(graph.n - 0.75) - 1.5,
     }
-    if has_repeated_length(spectrum) is None and not (report["pair_bound_ok"]
-                                                      and report["crossing_bound_ok"]):
+    if not repeated and not (report["pair_bound_ok"] and report["crossing_bound_ok"]):
         raise InternalInconsistency(
             f"counting bound failed on a repeat-free graph: {report}")
     return report
@@ -155,11 +150,12 @@ def verification_report(graph: ChordedCycleGraph,
                         budget: int = DEFAULT_CYCLE_BUDGET) -> dict:
     """JSON-ready verification summary with a stable key order."""
     spectrum = enumerate_cycles(graph, budget)
+    repeated = has_repeat(spectrum)
     return {
         "n": graph.n,
         "edges": graph.edge_count,
         "chords": [list(chord) for chord in graph.chords],
         "spectrum": list(spectrum),
-        "repeated": has_repeated_length(spectrum) is not None,
-        "bounds": bound_report(graph, spectrum),
+        "repeated": repeated,
+        "bounds": bound_report(graph, repeated),
     }

@@ -182,7 +182,7 @@ def _first_fit_star(n: int) -> tuple[tuple[int, int], ...]:
     anchors: tuple[int, ...] = ()
     for anchor in range(3, n):
         trial = anchors + (anchor,)
-        if oracle.has_repeated_length(graphs.predicted_spectrum(n, trial)) is None:
+        if not oracle.has_repeat(graphs.predicted_spectrum(n, trial)):
             anchors = trial
     return graphs.build_graph(n, anchors).chords
 
@@ -257,7 +257,7 @@ def exact_g(n: int, budget: int = DEFAULT_NODE_BUDGET) -> ExactResult:
     chords = max(best, star, key=len)
     witness = ChordedCycleGraph(n, chords)
     spectrum = oracle.enumerate_cycles(witness)
-    if oracle.has_repeated_length(spectrum) is not None:
+    if oracle.has_repeat(spectrum):
         raise oracle.InternalInconsistency("witness re-check found a repeated length")
     return ExactResult(n=n,
                        g_value=n + len(chords),

@@ -23,6 +23,14 @@ from cyclespec.singer import PerfectDifferenceSet
 
 # ------------------------------------------------------- shared helpers
 
+def long_beyond(bound, values):
+    """``values`` as test parameters, those above ``bound`` marked ``long``:
+    the default run checks the sample up to ``bound``, ``pytest -m long``
+    the rest of the range."""
+    return [value if value <= bound else pytest.param(value, marks=pytest.mark.long)
+            for value in values]
+
+
 def chord_pool(n):
     """Every possible chord of the n-cycle, in lexicographic order."""
     return [(u, v) for u in range(1, n - 1) for v in range(u + 2, n + 1)
@@ -59,8 +67,10 @@ def translate(d, shift):
 
 
 def census_repeat(anchors, n):
-    """The smallest length the census of ``anchors`` on the n-cycle repeats."""
-    return oracle.has_repeated_length(graphs.predicted_spectrum(n, anchors))
+    """The smallest length the census of ``anchors`` on the n-cycle repeats,
+    or None."""
+    counts = Counter(graphs.predicted_spectrum(n, anchors))
+    return min((length for length, count in counts.items() if count > 1), default=None)
 
 
 def bits(lengths):
@@ -344,7 +354,7 @@ def naive_g(n):
     for size in range(max_chords(n), -1, -1):
         for subset in itertools.combinations(pool, size):
             spectrum = oracle.enumerate_cycles(ChordedCycleGraph(n, subset))
-            if oracle.has_repeated_length(spectrum) is None:
+            if not oracle.has_repeat(spectrum):
                 best = size
                 break
         if best:

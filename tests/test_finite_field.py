@@ -8,16 +8,18 @@ import pytest
 
 from cyclespec import finite_field as ff
 from cyclespec import singer
-from references import (Tables, element_order, extension, index_of, naive_product,
-                        naive_triple_product, poly_mod, poly_mul, reference_choices,
-                        reference_primitive, reference_tower, table_extension, table_irreducible,
-                        table_prime_field, tables, tower, trial_division_irreducible)
+from references import (Tables, element_order, extension, index_of, long_beyond,
+                        naive_product, naive_triple_product, poly_mod, poly_mul,
+                        reference_choices, reference_primitive, reference_tower, table_extension,
+                        table_irreducible, table_prime_field, tables, tower,
+                        trial_division_irreducible)
 
 
 GF2 = ff.prime_field(2)
 GF3 = ff.prime_field(3)
 GF7 = ff.prime_field(7)
 PRIME_POWERS_TO_64 = [q for q in range(2, 65) if len(ff.factorize(q)) == 1]
+PRIME_POWERS_TO_256 = long_beyond(64, [q for q in range(2, 257) if len(ff.factorize(q)) == 1])
 
 
 # q -> (GF(q) modulus over GF(p) or None for prime q, cubic over GF(q), index
@@ -36,35 +38,28 @@ CANONICAL = {
 }
 
 
-def choices(q):
-    """The same four from finite_field and the Singer construction."""
+GF8_TABLES = table_extension(table_prime_field(2), (1, 1, 0, 1))
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_TO_256)
+def test_tower_matches_table_reference(q):
+    # GF(q)'s modulus, the cubic over GF(q), the primitive element and the
+    # Singer set, from finite_field and the construction
     (p, m), = ff.factorize(q)
     modulus = ff.find_irreducible(ff.prime_field(p), m) if m > 1 else None
     _, top = tower(q)
-    return (modulus, top.modulus, ff.find_primitive(top),
-            singer.singer_difference_set(q).elements)
+    assert (modulus, top.modulus, ff.find_primitive(top),
+            singer.singer_difference_set(q).elements) == reference_choices(q)
 
 
-def check_irreducibles(q):
-    """find_irreducible against trial division on the moduli of q's tower: the
-    cubic over GF(q) and, for q = p^m with m > 1, the degree-m one over GF(p)."""
+@pytest.mark.parametrize("q", PRIME_POWERS_TO_256)
+def test_irreducibles_match_trial_division(q):
+    # the moduli of q's tower: the cubic over GF(q) and, for q = p^m with
+    # m > 1, the degree-m one over GF(p)
     (p, m), = ff.factorize(q)
     mid, _ = tower(q)
     for base, degree in [(mid, 3)] + ([(ff.prime_field(p), m)] if m > 1 else []):
         assert ff.find_irreducible(base, degree) == trial_division_irreducible(base, degree)
-
-
-GF8_TABLES = table_extension(table_prime_field(2), (1, 1, 0, 1))
-
-
-@pytest.mark.parametrize("q", PRIME_POWERS_TO_64)
-def test_tower_matches_table_reference(q):
-    assert choices(q) == reference_choices(q)
-
-
-@pytest.mark.parametrize("q", PRIME_POWERS_TO_64)
-def test_irreducibles_match_trial_division(q):
-    check_irreducibles(q)
 
 
 class TestPrimeField:

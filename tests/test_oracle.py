@@ -27,7 +27,7 @@ class TestEnumerate:
     def test_repeated_lengths_surface(self):
         spectrum = oracle.enumerate_cycles(ChordedCycleGraph(4, ((1, 3),)))
         assert spectrum == (3, 3, 4)
-        assert oracle.has_repeated_length(spectrum) == 3
+        assert oracle.has_repeat(spectrum)
 
     def test_budget_exhaustion(self):
         graph = ChordedCycleGraph(4, ((1, 3),))
@@ -90,7 +90,8 @@ def test_enumeration_matches_edge_subset_oracle():
         assert got == subset_cycle_lengths(graph), graph
 
 
-def cross_check_enumerators(max_examples):
+@pytest.mark.parametrize("max_examples", [300, pytest.param(2000, marks=pytest.mark.long)])
+def test_contraction_matches_vertex_and_networkx_oracles(max_examples):
     """Four enumerators agree on hypothesis draws of chorded cycles: the
     shipped one, ``contracted_reference``, ``vertex_cycles`` and networkx.
 
@@ -130,22 +131,18 @@ def cross_check_enumerators(max_examples):
     agree()
 
 
-def test_contraction_matches_vertex_and_networkx_oracles():
-    cross_check_enumerators(300)
-
-
-class TestHasRepeatedLength:
-    def test_reports_smallest_repeat(self):
-        assert oracle.has_repeated_length((3, 5, 5, 7, 7)) == 5
-        assert oracle.has_repeated_length((4, 4, 4)) == 4
+class TestHasRepeat:
+    def test_reports_repeats(self):
+        assert oracle.has_repeat((3, 5, 5, 7, 7)) is True
+        assert oracle.has_repeat((4, 4, 4)) is True
 
     def test_accepts_distinct(self):
-        assert oracle.has_repeated_length((3, 5, 7)) is None
-        assert oracle.has_repeated_length(()) is None
+        assert oracle.has_repeat((3, 5, 7)) is False
+        assert oracle.has_repeat(()) is False
 
     def test_unsorted_input(self):
-        assert oracle.has_repeated_length((7, 3, 7)) == 7
-        assert oracle.has_repeated_length((5, 3, 4)) is None
+        assert oracle.has_repeat((7, 3, 7)) is True
+        assert oracle.has_repeat((5, 3, 4)) is False
 
 
 class TestSidon:
@@ -195,8 +192,7 @@ class TestCrossingPairs:
 
 class TestBounds:
     def test_large_construction_values(self):
-        graph = graphs.build_graph(183, [])
-        report = oracle.bound_report(graph, oracle.enumerate_cycles(graph))
+        report = oracle.bound_report(graphs.build_graph(183, []), False)
         assert abs(report["singer_lower_bound"] - 195.0) < 1e-9
         assert abs(report["edge_upper_bound"] - (183 + (366) ** 0.5 + 1)) < 1e-9
 
@@ -205,7 +201,7 @@ class TestBounds:
         # the float in bound_report agrees: n + sqrt(n - 3/4) - 3/2 = q^2 + 2q
         n = q * q + q + 1
         assert oracle.singer_lower_bound_exact(n) == Fraction(q * q + 2 * q)
-        report = oracle.bound_report(ChordedCycleGraph(n), (n,))
+        report = oracle.bound_report(ChordedCycleGraph(n), False)
         assert abs(report["singer_lower_bound"] - (q * q + 2 * q)) < 1e-9
 
     def test_exact_rational_other_moduli(self):
@@ -217,11 +213,11 @@ class TestBounds:
     def test_bounds_hold_on_pipeline_graphs(self):
         for q in (2, 3, 4, 5):
             graph = singer_graph(q)
-            report = oracle.bound_report(graph, oracle.enumerate_cycles(graph))
+            report = oracle.bound_report(graph, oracle.has_repeat(oracle.enumerate_cycles(graph)))
             assert report["pair_bound_ok"] and report["crossing_bound_ok"]
 
     def test_inconsistency_guard(self):
-        # no graph below is repeat-free; faking a clean spectrum must trip the
+        # no graph below is repeat-free; faking a clean verdict must trip the
         # internal check when either bound fails: both (six chord pairs, three
         # crossing, on five vertices), only the pair bound (ten pairs, none
         # crossing, on ten) or only the crossing bound (six pairs, four
@@ -230,13 +226,13 @@ class TestBounds:
                       graphs.build_graph(10, (3, 4, 5, 6, 7)),
                       ChordedCycleGraph(7, ((1, 3), (1, 4), (2, 5), (3, 6)))):
             with pytest.raises(oracle.InternalInconsistency):
-                oracle.bound_report(graph, (3, 4, 5))
+                oracle.bound_report(graph, False)
 
     def test_failing_bound_reported_when_repeats_present(self):
         graph = ChordedCycleGraph(5, ((1, 3), (1, 4), (2, 4), (2, 5)))
-        spectrum = oracle.enumerate_cycles(graph)
-        assert oracle.has_repeated_length(spectrum) is not None
-        report = oracle.bound_report(graph, spectrum)
+        repeated = oracle.has_repeat(oracle.enumerate_cycles(graph))
+        assert repeated
+        report = oracle.bound_report(graph, repeated)
         assert not report["pair_bound_ok"]
 
 

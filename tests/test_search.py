@@ -13,8 +13,9 @@ import pytest
 from cyclespec import oracle, search
 from cyclespec.graphs import ChordedCycleGraph
 from references import (adjacency, bits, census_repeat, chord_pool, counting_cap, dihedral_maps,
-                        is_sidon, lengths, max_single_vertex_chords, naive_g, networkx_spectrum,
-                        pair_canonical, plain_search, relabel, vertex_new_cycle_lengths)
+                        is_sidon, lengths, long_beyond, max_single_vertex_chords, naive_g,
+                        networkx_spectrum, pair_canonical, plain_search, relabel,
+                        vertex_new_cycle_lengths)
 
 
 README = pathlib.Path(__file__).parents[1] / "README.md"
@@ -24,53 +25,18 @@ README_ROWS = {int(n): (int(g), tuple(tuple(map(int, chord.split(",")))
                for n, g, chords in re.findall(r"^\| (\d+) +\| (\d+) +\| (.*)\|$",
                                               README.read_text(encoding="utf-8"), re.M)}
 # the nodes the search explores beyond the golden CLI grid (frozen: a prune
-# that moves them is a change of the search, not a refactoring); tier-1 runs
-# n <= 22, tests/long_checks.py the rest
+# that moves them is a change of the search, not a refactoring)
 FROZEN_NODES = {18: 2308, 19: 378, 20: 391, 21: 517, 22: 499, 23: 540, 24: 25047,
                 25: 42540, 26: 64937, 27: 2366, 28: 7112, 29: 1082, 30: 1263,
                 31: 796515, 38: 11774}
 # the nodes at zero-slack n under the plain counting cap, without the cut of
-# ``search.chord_cap``; tier-1 runs n <= 23, tests/long_checks.py n = 30
+# ``search.chord_cap``
 PLAIN_CAP_NODES = {12: 106, 17: 1068, 23: 17629, 30: 465707}
 
 
 def _star(n):
     """The chords {1, a} on the single-vertex optimum's anchors."""
     return tuple((1, a) for a in max_single_vertex_chords(n)[1])
-
-
-def check_readme_row(n):
-    """Run the exhaustive search at n and check it against its README row:
-    g(n) and the least witness, which is the star reference for n >= 4
-    (observed, not proved), the frozen node count, both edge bounds, and
-    the witness spectrum, re-derived by networkx, which repeats nothing."""
-    g_value, chords = README_ROWS[n]
-    result = search.exact_g(n)
-    assert result.exhaustive, n
-    assert (result.g_value, result.witness.chords) == (g_value, chords), (n, result)
-    assert result.witness.edge_count == g_value, n
-    if n >= 4:
-        assert chords == _star(n), n
-    if n in FROZEN_NODES:
-        assert result.nodes_explored == FROZEN_NODES[n], (n, result.nodes_explored)
-    assert g_value < n + math.sqrt(2 * n) + 1, n
-    assert g_value <= _sharp_bound(n), n
-    spectrum = networkx_spectrum(result.witness)
-    assert spectrum == oracle.enumerate_cycles(result.witness), (n, spectrum)
-    assert len(set(spectrum)) == len(spectrum), (n, spectrum)
-
-
-def check_counting_cap(n, monkeypatch):
-    """Without the zero-slack cut the search refutes k chords itself,
-    evidence for the lemma independent of its proof: the plain counting cap
-    gives the same g and witness as ``search.chord_cap`` at n, in
-    ``PLAIN_CAP_NODES[n]`` nodes, more than the cut takes."""
-    capped = search.exact_g(n)
-    monkeypatch.setattr(search, "chord_cap", counting_cap)
-    plain = search.exact_g(n)
-    assert plain.exhaustive
-    assert (plain.g_value, plain.witness.chords) == (capped.g_value, capped.witness.chords)
-    assert plain.nodes_explored == PLAIN_CAP_NODES[n] > capped.nodes_explored
 
 
 def _sharp_bound(n):
@@ -168,11 +134,12 @@ class TestHelpers:
         # zero slack at k = 2: the uniquely pancyclic n = 8 reaches its cap
         assert search.chord_cap(8) == 2 == search.exact_g(8).g_value - 8
 
-    def test_zero_slack_lemma(self):
-        # 28,808 chord sets for n = 5..9; tests/long_checks.py runs n <= 11
-        mismatches, tight = zero_slack_lemma_mismatches(9)
-        assert mismatches == []
-        assert tight == 2617
+    @pytest.mark.parametrize("n_max,tight", [
+        (9, 2617),  # 28,808 chord sets
+        pytest.param(11, 18903, marks=pytest.mark.long),
+    ])
+    def test_zero_slack_lemma(self, n_max, tight):
+        assert zero_slack_lemma_mismatches(n_max) == ([], tight)
 
     @pytest.mark.parametrize("n", sorted(CROSSING_LEMMA_COUNTS))
     def test_crossing_lemma(self, n):
@@ -289,13 +256,13 @@ class TestIncrementalLengths:
             graph = ChordedCycleGraph(n, chords)
             before = list(oracle.enumerate_cycles(graph))
             free = [e for e in pool if e not in chords]
-            if oracle.has_repeated_length(before) is not None or not free:
+            if oracle.has_repeat(before) or not free:
                 continue
             u, v = rng.choice(free)
             after = list(oracle.enumerate_cycles(
                 ChordedCycleGraph(n, tuple(sorted(chords + ((u, v),))))))
             fresh = search._new_cycle_lengths(n, chords, u, v, bits(before))
-            repeats = oracle.has_repeated_length(after) is not None
+            repeats = oracle.has_repeat(after)
             assert (fresh is None) == repeats, (n, chords, (u, v))
             if fresh is not None:
                 assert sorted(before + lengths(fresh)) == after, (n, chords, (u, v))
@@ -416,7 +383,7 @@ class TestForwardCheck:
             graph = ChordedCycleGraph(n, chords)
             spectrum = oracle.enumerate_cycles(graph)
             free = [e for e in pool if e not in chords]
-            if oracle.has_repeated_length(spectrum) is not None or len(free) < 2:
+            if oracle.has_repeat(spectrum) or len(free) < 2:
                 continue
             used = bits(spectrum)
             x, c = rng.sample(free, 2)
@@ -485,10 +452,26 @@ class TestForwardCheck:
 
 
 class TestExactSearch:
-    @pytest.mark.parametrize("n", [n for n in sorted(README_ROWS) if n <= 22])
+    @pytest.mark.parametrize("n", long_beyond(22, sorted(README_ROWS)))
     def test_readme_row(self, n):
-        # tests/long_checks.py runs n = 23..31 and 38, up to about 30 s (n = 31)
-        check_readme_row(n)
+        # g(n) and the least witness, which is the star reference for n >= 4
+        # (observed, not proved), the frozen node count, both edge bounds, and
+        # the witness spectrum, re-derived by networkx, which repeats nothing;
+        # the long run takes n = 23..31 and 38, up to about 30 s (n = 31)
+        g_value, chords = README_ROWS[n]
+        result = search.exact_g(n)
+        assert result.exhaustive
+        assert (result.g_value, result.witness.chords) == (g_value, chords), result
+        assert result.witness.edge_count == g_value
+        if n >= 4:
+            assert chords == _star(n)
+        if n in FROZEN_NODES:
+            assert result.nodes_explored == FROZEN_NODES[n]
+        assert g_value < n + math.sqrt(2 * n) + 1
+        assert g_value <= _sharp_bound(n)
+        spectrum = networkx_spectrum(result.witness)
+        assert spectrum == oracle.enumerate_cycles(result.witness)
+        assert len(set(spectrum)) == len(spectrum), spectrum
 
     @pytest.mark.parametrize("n", range(3, 10))
     def test_agrees_with_naive_sweep(self, n):
@@ -561,9 +544,17 @@ class TestExactSearch:
         assert cuts.total() >= 1, cuts
         assert (cuts[True] == 0) == (n in (12, 17)), cuts
 
-    @pytest.mark.parametrize("n", [n for n in PLAIN_CAP_NODES if n <= 23])
+    @pytest.mark.parametrize("n", long_beyond(23, sorted(PLAIN_CAP_NODES)))
     def test_counting_cap_gives_the_same_answers(self, n, monkeypatch):
-        check_counting_cap(n, monkeypatch)
+        # without the zero-slack cut the search refutes k chords itself,
+        # evidence for the lemma independent of its proof: the plain counting
+        # cap gives the same g and witness as ``search.chord_cap``, in more nodes
+        capped = search.exact_g(n)
+        monkeypatch.setattr(search, "chord_cap", counting_cap)
+        plain = search.exact_g(n)
+        assert plain.exhaustive
+        assert (plain.g_value, plain.witness.chords) == (capped.g_value, capped.witness.chords)
+        assert plain.nodes_explored == PLAIN_CAP_NODES[n] > capped.nodes_explored
 
     def test_readme_quotes_the_node_counts(self):
         # the search bullet's node counts, each where it is frozen, so a
@@ -589,11 +580,11 @@ class TestExactSearch:
         for n in range(3, 13):
             result = search.exact_g(n)
             spectrum = oracle.enumerate_cycles(result.witness)
-            assert oracle.has_repeated_length(spectrum) is None
+            assert not oracle.has_repeat(spectrum)
             assert result.g_value == n + len(result.witness.chords)
             assert result.g_value < n + math.sqrt(2 * n) + 1
             assert result.g_value <= _sharp_bound(n)
-            report = oracle.bound_report(result.witness, spectrum)
+            report = oracle.bound_report(result.witness, False)
             assert report["pair_bound_ok"] and report["crossing_bound_ok"]
 
     def test_budget_truncation(self):
@@ -602,26 +593,25 @@ class TestExactSearch:
         assert result.nodes_explored >= 5
         # whatever was found is still a valid repeat-free graph
         spectrum = oracle.enumerate_cycles(result.witness)
-        assert oracle.has_repeated_length(spectrum) is None
+        assert not oracle.has_repeat(spectrum)
         # the root is still testing its candidates; the first-fit star stands in
         assert (result.g_value, result.witness.chords) == (14, ((1, 3), (1, 5)))
 
     def test_first_fit_star_is_a_maximal_witness(self):
         for n in range(4, 63):
             chords = search._first_fit_star(n)
-            assert oracle.has_repeated_length(
-                oracle.enumerate_cycles(ChordedCycleGraph(n, chords))) is None
+            assert not oracle.has_repeat(oracle.enumerate_cycles(ChordedCycleGraph(n, chords)))
             for a in range(3, n):
                 if (1, a) not in chords:
                     bigger = ChordedCycleGraph(n, tuple(sorted(chords + ((1, a),))))
-                    assert oracle.has_repeated_length(oracle.enumerate_cycles(bigger)) is not None
+                    assert oracle.has_repeat(oracle.enumerate_cycles(bigger))
 
     @pytest.mark.parametrize("n", [5, 12, 17, 30, 62])
     def test_truncated_run_reports_at_least_the_first_fit_star(self, n):
         result = search.exact_g(n, budget=1)
         assert not result.exhaustive
         assert result.g_value == n + len(search._first_fit_star(n))
-        assert oracle.has_repeated_length(oracle.enumerate_cycles(result.witness)) is None
+        assert not oracle.has_repeat(oracle.enumerate_cycles(result.witness))
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -651,14 +641,14 @@ class TestExactSearch:
             pool = chord_pool(n)
             chords = tuple(sorted(rng.sample(pool, min(3, len(pool)))))
             graph = ChordedCycleGraph(n, chords)
-            if oracle.has_repeated_length(oracle.enumerate_cycles(graph)) is None:
+            if not oracle.has_repeat(oracle.enumerate_cycles(graph)):
                 continue
             free = [e for e in pool if e not in chords]
             if not free:
                 continue
             extra = rng.choice(free)
             bigger = ChordedCycleGraph(n, tuple(sorted(chords + (extra,))))
-            assert oracle.has_repeated_length(oracle.enumerate_cycles(bigger)) is not None
+            assert oracle.has_repeat(oracle.enumerate_cycles(bigger))
 
 
 class TestSingleVertexChords:

@@ -6,11 +6,11 @@ import tracemalloc
 import pytest
 
 from cyclespec import cli, finite_field, singer
-from references import (brute_force_difference_set, full_walk, matrix_walk,
+from references import (brute_force_difference_set, full_walk, long_beyond, matrix_walk,
                         sorted_differences_perfect, translate)
 
 
-PRIME_POWERS = [q for q in range(2, 129) if singer.prime_power(q)]
+PRIME_POWERS = [q for q in range(2, 257) if singer.prime_power(q)]
 
 # singer_difference_set(q).elements for every prime power q <= 32, recorded
 # from the object-tower field arithmetic that preceded the flat integer core.
@@ -62,7 +62,7 @@ class TestConstruction:
         assert singer.singer_difference_set(2).elements == (0, 1, 3)
         assert singer.singer_difference_set(3).elements == (0, 1, 3, 9)
 
-    @pytest.mark.parametrize("q", PRIME_POWERS)
+    @pytest.mark.parametrize("q", long_beyond(128, PRIME_POWERS))
     def test_size_and_perfectness(self, q):
         diffset = singer.singer_difference_set(q)
         assert diffset.n == q * q + q + 1
@@ -92,7 +92,7 @@ def test_one_period_matches_full_walk(q):
     assert singer.singer_difference_set(q).elements == full_walk(q)
 
 
-@pytest.mark.parametrize("q", [q for q in range(2, 65) if singer.prime_power(q)])
+@pytest.mark.parametrize("q", long_beyond(64, PRIME_POWERS))
 def test_recurrence_matches_matrix_walk(q):
     assert singer.singer_difference_set(q).elements == matrix_walk(q)
 
