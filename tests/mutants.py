@@ -47,8 +47,8 @@ ACCEPTED = {
     ("finite_field", "if->False", "len(field.fold) == 3"),  # the unrolled cubic product
     ("search", "if->False", "(end - start) % n != span"),  # the span filter of _is_canonical
 }
-IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
-                                 "*.egg-info", "build", "dist", "results")
+IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", "*.egg-info",
+                                 "build", "dist", "results")
 
 
 def _sites(tree: ast.Module) -> list[tuple[ast.AST, int | None]]:

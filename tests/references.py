@@ -4,8 +4,8 @@ Every reference the tests compare ``cyclespec`` against lives here, beside
 the helpers that more than one test module needs, so that no test module
 imports another.  Slow paths that a fast one replaced in ``src/`` move here
 as well.  Nothing here is a test, so pytest collects none from this module.
-hypothesis, networkx and sympy are not imported at module level: a helper
-that needs one calls ``pytest.importorskip``, and tier-1 skips without it.
+networkx and sympy are not imported at module level: a helper that needs
+one calls ``pytest.importorskip``, and tier-1 skips without it.
 """
 
 import itertools

@@ -90,45 +90,47 @@ def test_enumeration_matches_edge_subset_oracle():
         assert got == subset_cycle_lengths(graph), graph
 
 
-@pytest.mark.parametrize("max_examples", [300, pytest.param(2000, marks=pytest.mark.long)])
-def test_contraction_matches_vertex_and_networkx_oracles(max_examples):
-    """Four enumerators agree on hypothesis draws of chorded cycles: the
-    shipped one, ``contracted_reference``, ``vertex_cycles`` and networkx.
+@pytest.mark.parametrize("draws", [300, pytest.param(2000, marks=pytest.mark.long)])
+def test_contraction_matches_vertex_and_networkx_oracles(draws):
+    """Four enumerators agree on chorded cycles: the shipped one,
+    ``contracted_reference``, ``vertex_cycles`` and networkx.
 
-    n <= 40 and up to 10 chords, drawn with repeated endpoints allowed, so
-    parallel contracted edges occur; half the draws also put up to 10
-    chords on one hub vertex.  Derandomized, so every run sees the same
-    graphs.
+    Three fixed graphs (a 10-chord star, a hub with a crossing chord, a
+    9-chord ladder), then ``draws`` graphs seeded by ``draws``: n <= 40 and
+    up to 10 chords, drawn with repeated endpoints allowed, so parallel
+    contracted edges occur; half the draws first put up to 10 chords on one
+    hub vertex.
     """
-    hypothesis = pytest.importorskip("hypothesis")
-    st = pytest.importorskip("hypothesis.strategies")
-    pytest.importorskip("networkx")  # skip before any draw: no example reported as failing
-
-    @st.composite
-    def chorded_cycles(draw):
-        n = draw(st.integers(3, 40))
+    pytest.importorskip("networkx")  # skip before any draw: no graph reported as failing
+    rng = random.Random(draws)
+    cases = [ChordedCycleGraph(14, tuple((1, a) for a in range(3, 13))),
+             ChordedCycleGraph(12, ((1, 6), (2, 6), (3, 6), (6, 9), (6, 11), (4, 10))),
+             ChordedCycleGraph(24, tuple((2 * i + 1, 2 * i + 4) for i in range(9)))]
+    seen = Counter()
+    for _ in range(draws):
+        n = rng.randint(3, 40)
         pool = chord_pool(n)
-        if not pool:
-            return ChordedCycleGraph(n)
-        hub = draw(st.integers(1, n))
-        spokes = [chord for chord in pool if hub in chord]
-        chords = set(draw(st.lists(st.sampled_from(spokes), max_size=10))
-                     if draw(st.booleans()) else ())
-        chords |= set(draw(st.lists(st.sampled_from(pool), max_size=10 - len(chords))))
-        return ChordedCycleGraph(n, tuple(chords))
-
-    @hypothesis.settings(max_examples=max_examples, deadline=None, derandomize=True,
-                         database=None)
-    @hypothesis.given(chorded_cycles())
-    @hypothesis.example(ChordedCycleGraph(14, tuple((1, a) for a in range(3, 13))))
-    @hypothesis.example(ChordedCycleGraph(12, ((1, 6), (2, 6), (3, 6), (6, 9), (6, 11), (4, 10))))
-    @hypothesis.example(ChordedCycleGraph(24, tuple((2 * i + 1, 2 * i + 4) for i in range(9))))
-    def agree(graph):
+        chords = set()
+        if pool:
+            hub = rng.randint(1, n)
+            if rng.random() < 0.5:
+                spokes = [chord for chord in pool if hub in chord]
+                chords.update(rng.choices(spokes, k=rng.randint(0, 10)))
+            chords.update(rng.choices(pool, k=rng.randint(0, 10 - len(chords))))
+        cases.append(ChordedCycleGraph(n, tuple(chords)))
+        degrees = Counter(end for chord in chords for end in chord)
+        branch = sorted(degrees)  # a chord joining neighbours here is a parallel contracted edge
+        neighbours = {*zip(branch, branch[1:]), tuple(branch[:1] + branch[-1:])}
+        most = max(degrees.values(), default=0)
+        seen["no chords"] += not chords
+        seen["hub"] += most >= 4
+        seen["shared endpoint"] += most >= 2
+        seen["parallel edge"] += bool(chords & neighbours)
+    for graph in cases:
         expected = networkx_spectrum(graph)
-        assert oracle.enumerate_cycles(graph) == contracted_reference(graph) == expected
-        assert vertex_cycles(graph) == expected
-
-    agree()
+        assert oracle.enumerate_cycles(graph) == contracted_reference(graph) == expected, graph
+        assert vertex_cycles(graph) == expected, graph
+    assert min(seen.values()) >= 20, seen
 
 
 class TestHasRepeat:

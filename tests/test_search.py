@@ -588,14 +588,22 @@ class TestExactSearch:
             assert report["pair_bound_ok"] and report["crossing_bound_ok"]
 
     def test_budget_truncation(self):
-        result = search.exact_g(12, budget=5)
-        assert not result.exhaustive
-        assert result.nodes_explored >= 5
-        # whatever was found is still a valid repeat-free graph
-        spectrum = oracle.enumerate_cycles(result.witness)
-        assert not oracle.has_repeat(spectrum)
-        # the root is still testing its candidates; the first-fit star stands in
-        assert (result.g_value, result.witness.chords) == (14, ((1, 3), (1, 5)))
+        # a cut run counts the candidate it stops at without testing it, so
+        # it reports budget + 1 nodes: at n = 17 a budget of 234 is cut at
+        # 235 nodes, and 235, the exhaustive run's own count, is not cut
+        star = ((1, 3), (1, 5), (1, 9))
+        cases = ((12, 5, 14, star[:2]),  # the root is still testing; the first-fit star stands in
+                 (17, 234, 20, star))
+        for n, budget, g_value, chords in cases:
+            result = search.exact_g(n, budget=budget)
+            assert not result.exhaustive
+            assert result.nodes_explored == budget + 1
+            # whatever was found is still a valid repeat-free graph
+            assert not oracle.has_repeat(oracle.enumerate_cycles(result.witness))
+            assert (result.g_value, result.witness.chords) == (g_value, chords)
+        result = search.exact_g(17, budget=235)
+        assert (result.exhaustive, result.nodes_explored) == (True, 235)
+        assert (result.g_value, result.witness.chords) == (20, star)
 
     def test_first_fit_star_is_a_maximal_witness(self):
         for n in range(4, 63):
