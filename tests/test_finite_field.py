@@ -183,7 +183,11 @@ class TestInversesAndOrders:
         (5, 2),  # x is no square, yet has order 8 of 24
         (11, 2),  # 120 = 2^3 * 3 * 5: candidates fail on 3 alone and on 5 alone
         (13, 2),  # 168 = 2^3 * 3 * 7: a candidate fails on 7 alone
-    ], ids=["GF8", "GF9", "GF25", "GF121", "GF169"])
+        (2, 6),  # degree 6 over GF(2), where there is no norm test
+        (2, 8),  # x is rejected, x + 1 is primitive
+        (5, 4),  # a Frobenius basis of width 4; x is rejected, x + 1 is primitive
+        (7, 4),  # x is rejected, and so are the next four
+    ], ids=["GF8", "GF9", "GF25", "GF121", "GF169", "GF64", "GF256", "GF625", "GF2401"])
     def test_primitive_matches_order_reference_on_small_fields(self, p, degree):
         ground = table_prime_field(p)
         assert (ff.find_primitive(extension(p, degree))
@@ -193,6 +197,40 @@ class TestInversesAndOrders:
     def test_primitive_matches_order_reference_on_singer_tops(self, q):
         _, top = tower(q)
         assert ff.find_primitive(top) == reference_primitive(reference_tower(q)[1])
+
+    @pytest.mark.parametrize("make,products", [
+        # the Frobenius basis x^7, x^14 takes 5 products, each of the 16
+        # candidates 2 for its norm, and x, 2x and the primitive 1 + 3x pass
+        # the norm tests and take 2 more for a^3; 3x fails on its norm
+        (lambda: tower(7)[1], 43),  # 328 by the cofactor powers alone
+        # the basis takes 7 products and each of the 11 candidates 2; only
+        # the primitive 10 + x passes the norm tests
+        (lambda: tower(19)[1], 31),  # 276 by the cofactor powers alone
+        # over GF(2) there is no norm test: x passes on 3 (x^85) and fails
+        # on 5 (x^51 = 1) after 9 + 8 products, x + 1 passes at 9 + 8 + 6;
+        # a norm would cost 7 products per candidate
+        (lambda: extension(2, 8), 40),
+    ], ids=["GF343", "GF6859", "GF256"])
+    def test_primitive_search_products(self, monkeypatch, make, products):
+        field, calls = make(), []
+        multiply = ff.multiply
+        monkeypatch.setattr(ff, "multiply", lambda *args: calls.append(1) or multiply(*args))
+        ff.find_primitive(field)
+        assert len(calls) == products
+
+
+@pytest.mark.parametrize("p,degree", [(5, 3), (2, 4)], ids=["GF125", "GF16"])
+def test_power_squares_from_the_top_bit(monkeypatch, p, degree):
+    # GF(5^3) multiplies by the unrolled cubic, GF(2^4) by the general loop
+    field, calls = extension(p, degree), []
+    multiply = ff.multiply
+    monkeypatch.setattr(ff, "multiply", lambda *args: calls.append(1) or multiply(*args))
+    a = expected = ff.element(field, p + 1)  # x + 1
+    for exponent in range(1, 201):
+        calls.clear()
+        assert ff.power(field, a, exponent) == expected
+        assert len(calls) == exponent.bit_length() + exponent.bit_count() - 2
+        expected = multiply(field, expected, a)
 
 
 @pytest.mark.parametrize("p,degree", [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2), (7, 2)])
