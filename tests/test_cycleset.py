@@ -75,6 +75,26 @@ class TestDerivation:
             cycleset.derive_cycle_set(singer.PerfectDifferenceSet(13, (0, 1, 3, 9)))
 
 
+class TestRecord:
+    TRACE = "CycleSetDerivation(pair=(4, 2), shifted=(2, 6, 7), anchors=(6,))"
+
+    def test_construction_either_way(self):
+        positional = cycleset.CycleSetDerivation((4, 2), (2, 6, 7), (6,))
+        assert positional == cycleset.CycleSetDerivation(pair=(4, 2), shifted=(2, 6, 7),
+                                                         anchors=(6,))
+        assert (positional.pair, positional.shifted, positional.anchors) == ((4, 2), (2, 6, 7),
+                                                                             (6,))
+
+    def test_repr(self):
+        assert repr(cycleset.derive_cycle_set_trace(
+            singer.PerfectDifferenceSet(7, (1, 2, 4)))) == self.TRACE
+
+    def test_immutable(self):
+        trace = cycleset.CycleSetDerivation((4, 2), (2, 6, 7), (6,))
+        with pytest.raises(AttributeError):
+            trace.anchors = ()
+
+
 class TestVerifier:
     """Each way anchors can fail shows as the census repeating a length."""
 

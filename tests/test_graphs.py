@@ -107,6 +107,35 @@ class TestConstruction:
             graphs.ChordedCycleGraph(6, ((1, 3), (3, 1)))  # same chord twice
 
 
+class TestRecord:
+    def test_construction_normalizes_either_way(self):
+        positional = graphs.ChordedCycleGraph(5, [(3, 1)])
+        assert positional == graphs.ChordedCycleGraph(n=5, chords=[(3, 1)])
+        assert (positional.n, positional.chords) == (5, ((1, 3),))
+        assert graphs.ChordedCycleGraph(n=4).chords == ()
+
+    def test_repr(self):
+        assert (repr(graphs.ChordedCycleGraph(5, [(3, 1)]))
+                == "ChordedCycleGraph(n=5, chords=((1, 3),))")
+
+    def test_immutable(self):
+        graph = graphs.ChordedCycleGraph(5, [(3, 1)])
+        with pytest.raises(AttributeError):
+            graph.n = 6
+        with pytest.raises(AttributeError):
+            graph.chords = ()
+
+    def test_refusal_messages(self):
+        for bad, message in (((2, ()), "need at least 3 vertices"),
+                             ((5, [(3, 3)]), "bad chord (3, 3) on 5 vertices"),
+                             ((5, [(6, 1)]), "bad chord (6, 1) on 5 vertices"),
+                             ((5, [(3, 2)]), "chord (3, 2) duplicates a cycle edge"),
+                             ((5, [(5, 1)]), "chord (5, 1) duplicates a cycle edge"),
+                             ((5, [(1, 3), (3, 1)]), "duplicate chords")):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                graphs.ChordedCycleGraph(*bad)
+
+
 # n: anchor sets on the n-cycle whose census repeats a length, of the
 # 2^(n - 3); 3,891 of the 4,095 for n = 3..14
 CENSUS_REPEATS = {3: 0, 4: 1, 5: 1, 6: 5, 7: 11, 8: 25, 9: 51, 10: 113, 11: 229,

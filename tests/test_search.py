@@ -451,6 +451,27 @@ class TestForwardCheck:
         assert bool(outcomes[False]) == (n >= 8)  # two chords fit from n = 8 on
 
 
+class TestRecord:
+    RESULT = ("ExactResult(n=5, g_value=6, witness=ChordedCycleGraph(n=5, chords=((1, 3),)), "
+              "nodes_explored=3, exhaustive=True)")
+
+    def test_construction_either_way(self):
+        witness = ChordedCycleGraph(5, [(3, 1)])
+        positional = search.ExactResult(5, 6, witness, 3, True)
+        assert positional == search.ExactResult(n=5, g_value=6, witness=witness,
+                                                nodes_explored=3, exhaustive=True)
+        assert positional.witness.chords == ((1, 3),)
+
+    def test_repr(self):
+        result = search.ExactResult(5, 6, ChordedCycleGraph(5, [(3, 1)]), 3, True)
+        assert repr(result) == self.RESULT
+
+    def test_immutable(self):
+        result = search.ExactResult(5, 6, ChordedCycleGraph(5, [(3, 1)]), 3, True)
+        with pytest.raises(AttributeError):
+            result.g_value = 7
+
+
 class TestExactSearch:
     @pytest.mark.parametrize("n", long_beyond(22, sorted(README_ROWS)))
     def test_readme_row(self, n):

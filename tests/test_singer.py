@@ -1,6 +1,7 @@
 """Difference set construction, verification oracle, and brute-force cross-check."""
 
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -226,6 +227,33 @@ class TestVerifier:
     def test_zero_modulus_rejected(self):
         with pytest.raises(ValueError, match="^modulus must be positive$"):
             singer.PerfectDifferenceSet(0, ())
+
+
+class TestRecord:
+    def test_construction_makes_a_tuple_either_way(self):
+        positional = singer.PerfectDifferenceSet(7, [1, 2, 4])
+        assert positional == singer.PerfectDifferenceSet(n=7, elements=[1, 2, 4])
+        assert (positional.n, positional.elements, positional.k) == (7, (1, 2, 4), 3)
+
+    def test_repr(self):
+        assert (repr(singer.PerfectDifferenceSet(7, [1, 2, 4]))
+                == "PerfectDifferenceSet(n=7, elements=(1, 2, 4))")
+
+    def test_immutable(self):
+        diffset = singer.PerfectDifferenceSet(7, [1, 2, 4])
+        with pytest.raises(AttributeError):
+            diffset.n = 8
+        with pytest.raises(AttributeError):
+            diffset.elements = ()
+
+    def test_refusal_messages(self):
+        for bad, message in (((0, ()), "modulus must be positive"),
+                             ((7, [2, 1]), "elements must be strictly increasing"),
+                             ((7, [1, 1, 4]), "elements must be strictly increasing"),
+                             ((7, [1, 2, 7]), "elements must lie in 0..6"),
+                             ((7, [-1, 3]), "elements must lie in 0..6")):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                singer.PerfectDifferenceSet(*bad)
 
 
 class TestTranslate:
