@@ -10,13 +10,12 @@ length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import graphs, oracle, singer
 
 
-@dataclass(frozen=True)
-class CycleSetDerivation:
+class CycleSetDerivation(NamedTuple):
     """Intermediate values of the difference-set-to-anchors conversion."""
 
     pair: tuple[int, int]        # (a0, b0) with a0 - b0 = 2 mod n

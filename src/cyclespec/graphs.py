@@ -7,36 +7,40 @@ import itertools
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class ChordedCycleGraph:
+class _Fields(NamedTuple):
+    n: int
+    chords: tuple[tuple[int, int], ...]
+
+
+class ChordedCycleGraph(_Fields):
     """The cycle on vertices 1..n (edges {i, i+1} and {n, 1}) plus chords.
 
     Chords are stored normalized: endpoints ascending within each pair, pairs
-    sorted.  Two graphs are equal exactly when n and the chord sets agree.
+    sorted.  Two graphs are equal exactly when n and the chord sets agree; a
+    graph is also equal to the plain tuple (n, chords).
     """
 
-    n: int
-    chords: tuple[tuple[int, int], ...] = field(default=())
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 3:
+    def __new__(cls, n: int, chords=()):
+        if n < 3:
             raise ValueError("need at least 3 vertices")
         normalized = []
-        for chord in self.chords:
+        for chord in chords:
             u, v = chord
-            if not (1 <= u <= self.n and 1 <= v <= self.n) or u == v:
-                raise ValueError(f"bad chord {chord} on {self.n} vertices")
+            if not (1 <= u <= n and 1 <= v <= n) or u == v:
+                raise ValueError(f"bad chord {chord} on {n} vertices")
             u, v = min(u, v), max(u, v)
-            if v - u == 1 or (u == 1 and v == self.n):
+            if v - u == 1 or (u == 1 and v == n):
                 raise ValueError(f"chord {chord} duplicates a cycle edge")
             normalized.append((u, v))
         ordered = tuple(sorted(normalized))
         if len(set(ordered)) != len(ordered):
             raise ValueError("duplicate chords")
-        object.__setattr__(self, "chords", ordered)
+        return super().__new__(cls, n, ordered)
 
     @property
     def edge_count(self) -> int:

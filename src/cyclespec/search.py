@@ -24,7 +24,7 @@ One gate decides whether a child is walked: ``_can_fit`` on its pool.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import graphs, oracle
 from .graphs import ChordedCycleGraph
@@ -32,8 +32,7 @@ from .graphs import ChordedCycleGraph
 DEFAULT_NODE_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True)
-class ExactResult:
+class ExactResult(NamedTuple):
     """Outcome of one search run.
 
     g_value = n + (maximum chord count found); witness is the first maximum

@@ -9,26 +9,30 @@ exponents, and their ordered differences hit every nonzero residue once.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import finite_field as ff
 
 
-@dataclass(frozen=True)
-class PerfectDifferenceSet:
-    """Residues mod n; perfect when ordered differences cover 1..n-1 once each."""
-
+class _Fields(NamedTuple):
     n: int
     elements: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
-        if self.n < 1:
+
+class PerfectDifferenceSet(_Fields):
+    """Residues mod n; perfect when ordered differences cover 1..n-1 once each."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, elements):
+        elements = tuple(elements)
+        if n < 1:
             raise ValueError("modulus must be positive")
-        if list(self.elements) != sorted(set(self.elements)):
+        if list(elements) != sorted(set(elements)):
             raise ValueError("elements must be strictly increasing")
-        if self.elements and not (0 <= self.elements[0] and self.elements[-1] < self.n):
-            raise ValueError(f"elements must lie in 0..{self.n - 1}")
+        if elements and not (0 <= elements[0] and elements[-1] < n):
+            raise ValueError(f"elements must lie in 0..{n - 1}")
+        return super().__new__(cls, n, elements)
 
     @property
     def k(self) -> int:
