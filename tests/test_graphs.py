@@ -83,7 +83,7 @@ class TestConstruction:
             graphs.build_graph(9, [4, 4])
 
     def test_tiny_cycle_rejected(self):
-        with pytest.raises(ValueError):
+        with _raises("need at least 3 vertices"):
             graphs.ChordedCycleGraph(2)
 
     def test_needs_three_vertices(self):
@@ -124,16 +124,6 @@ class TestRecord:
             graph.n = 6
         with pytest.raises(AttributeError):
             graph.chords = ()
-
-    def test_refusal_messages(self):
-        for bad, message in (((2, ()), "need at least 3 vertices"),
-                             ((5, [(3, 3)]), "bad chord (3, 3) on 5 vertices"),
-                             ((5, [(6, 1)]), "bad chord (6, 1) on 5 vertices"),
-                             ((5, [(3, 2)]), "chord (3, 2) duplicates a cycle edge"),
-                             ((5, [(5, 1)]), "chord (5, 1) duplicates a cycle edge"),
-                             ((5, [(1, 3), (3, 1)]), "duplicate chords")):
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                graphs.ChordedCycleGraph(*bad)
 
 
 # n: anchor sets on the n-cycle whose census repeats a length, of the

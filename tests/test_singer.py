@@ -215,14 +215,12 @@ class TestVerifier:
         assert verdicts[0] and verdicts.count(False) >= len(elements)
 
     def test_constructor_validation(self):
-        with pytest.raises(ValueError):
-            singer.PerfectDifferenceSet(7, (2, 1))
-        with pytest.raises(ValueError):
-            singer.PerfectDifferenceSet(7, (1, 1, 4))
-        with pytest.raises(ValueError):
-            singer.PerfectDifferenceSet(7, (1, 2, 7))
-        with pytest.raises(ValueError, match=r"^elements must lie in 0\.\.6$"):
-            singer.PerfectDifferenceSet(7, (-1, 3))
+        for elements, message in (((2, 1), "elements must be strictly increasing"),
+                                  ((1, 1, 4), "elements must be strictly increasing"),
+                                  ((1, 2, 7), "elements must lie in 0..6"),
+                                  ((-1, 3), "elements must lie in 0..6")):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                singer.PerfectDifferenceSet(7, elements)
 
     def test_zero_modulus_rejected(self):
         with pytest.raises(ValueError, match="^modulus must be positive$"):
@@ -245,15 +243,6 @@ class TestRecord:
             diffset.n = 8
         with pytest.raises(AttributeError):
             diffset.elements = ()
-
-    def test_refusal_messages(self):
-        for bad, message in (((0, ()), "modulus must be positive"),
-                             ((7, [2, 1]), "elements must be strictly increasing"),
-                             ((7, [1, 1, 4]), "elements must be strictly increasing"),
-                             ((7, [1, 2, 7]), "elements must lie in 0..6"),
-                             ((7, [-1, 3]), "elements must lie in 0..6")):
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                singer.PerfectDifferenceSet(*bad)
 
 
 class TestTranslate:
