@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import pathlib
 import sys
 
@@ -68,17 +67,45 @@ def _cell(key: str, value) -> str:
     return str(value)
 
 
+def _json(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2)`` for the values a record holds.
+
+    Those are dicts with identifier keys, lists and tuples, bools, ints,
+    finite floats and strings that need no escape; ``json`` itself is not
+    imported, as its import costs more than most commands' work.  A plain int
+    in a list is written inline, since spectra hold hundreds of them.
+    """
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, float)):
+        return repr(value)
+    if isinstance(value, str):
+        return f'"{value}"'
+    inner = indent + "  "
+    if isinstance(value, dict):
+        brackets = "{}"
+        items = [f'"{key}": {_json(item, inner)}' for key, item in value.items()]
+    elif not value:
+        return "[]"
+    else:
+        brackets = "[]"
+        items = [str(item) if type(item) is int else _json(item, inner) for item in value]
+    return (f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items)
+            + f"\n{indent}{brackets[1]}")
+
+
 def _render(command: str, fmt: str, record: dict | str) -> str:
     """The output text of one command: TSV when asked for, else JSON.
 
-    A serialized graph passes through as is.  TSV is a schema row, then one
-    key/value row per field, or for ``table`` a header row and one per q.
+    A serialized graph passes through as is.  JSON is the record behind a
+    schema and a command key, laid out by ``_json`` as ``json.dumps`` with
+    ``indent=2`` would.  TSV is a schema row, then one key/value row per
+    field, or for ``table`` a header row and one per q.
     """
     if isinstance(record, str):
         return record
     if fmt != "tsv":
-        return json.dumps({"schema": SCHEMA, "command": command, **record},
-                          indent=2) + "\n"
+        return _json({"schema": SCHEMA, "command": command, **record}) + "\n"
     if command == "table":
         rows = record["rows"]
         lines = [list(rows[0])] + [map(_cell, row, row.values()) for row in rows]

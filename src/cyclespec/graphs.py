@@ -42,6 +42,12 @@ class ChordedCycleGraph(_Fields):
             raise ValueError("duplicate chords")
         return super().__new__(cls, n, ordered)
 
+    @classmethod
+    def _make(cls, iterable):
+        # the base builds through tuple.__new__, past the checks above, and
+        # _replace builds through _make
+        return cls(*iterable)
+
     @property
     def edge_count(self) -> int:
         return self.n + len(self.chords)

@@ -34,6 +34,12 @@ class PerfectDifferenceSet(_Fields):
             raise ValueError(f"elements must lie in 0..{n - 1}")
         return super().__new__(cls, n, elements)
 
+    @classmethod
+    def _make(cls, iterable):
+        # the base builds through tuple.__new__, past the checks above, and
+        # _replace builds through _make
+        return cls(*iterable)
+
     @property
     def k(self) -> int:
         return len(self.elements)
@@ -82,11 +88,13 @@ def singer_difference_set(q: int) -> PerfectDifferenceSet:
     s1 = add(add(minor(b, d, a, e), minor(c, g, a, i)), minor(f, h, e, i))
     s0 = add(add(mul(a, minor(e, i, f, h)), mul(b, minor(f, g, d, i))),
              mul(c, minor(d, h, e, g)))
+    # the three products of a step, tabulated over GF(q) once
+    t2, t1, t0 = ([mul(s, x) for x in range(q)] for s in (s2, s1, s0))
     elements, (u, v, w) = [], (0, g, ff.multiply(top, gamma, gamma)[2])
     for exponent in range(n):
         if u == 0:
             elements.append(exponent)
-        u, v, w = v, w, add(add(mul(s2, w), mul(s1, v)), mul(s0, u))
+        u, v, w = v, w, add(add(t2[w], t1[v]), t0[u])
     return PerfectDifferenceSet(n, tuple(elements))
 
 

@@ -4,13 +4,16 @@
 line in ``test_cli_golden.py``, which runs them without ``--output``.  The
 rest is tested here: the default budget each command parses, ``--output``
 files, paths that cannot be read or written, an integer too long for a grid
-key, a failed internal re-check, parser reuse, the README's command list and
-the module entry point.
+key, a failed internal re-check, parser reuse, the README's command list,
+the module entry point, and the JSON writer on values no command prints.
 """
 
 import json
+import math
 import pathlib
+import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -40,6 +43,38 @@ class TestTable:
         code, out, _ = run_cli(capsys, "table", "3")
         rows = [line.split("\t") for line in out.splitlines()[2:]]
         assert code == 1 and [(row[0], row[-1]) for row in rows] == [("2", "fail"), ("3", "fail")]
+
+
+def test_json_writer_matches_json_dumps():
+    """Nested dicts, lists and tuples of the records' scalar types, laid out
+    as ``json.dumps(value, indent=2)`` lays them out."""
+    rng = random.Random(36)
+    seen = Counter()
+
+    def draw(depth):
+        kind = rng.choice(("dict", "list", "tuple") * (depth < 3)
+                          + ("bool", "int", "float", "str"))
+        seen[kind] += 1
+        if kind == "dict":
+            keys = ("n", "chords", "spectrum", "bounds", "q")
+            return {rng.choice(keys) + str(i): draw(depth + 1) for i in range(rng.randint(1, 4))}
+        if kind in ("list", "tuple"):
+            items = [draw(depth + 1) for _ in range(rng.randint(0, 5))]
+            seen["empty"] += not items
+            seen["int item"] += any(type(item) is int for item in items)
+            return items if kind == "list" else tuple(items)
+        if kind == "bool":
+            return rng.random() < 0.5
+        if kind == "int":
+            return rng.randint(-10 ** 6, 10 ** 6)
+        if kind == "float":
+            return math.sqrt(rng.randint(0, 10 ** 4))
+        return rng.choice((cli.SCHEMA, *cli._COMMANDS))
+
+    for _ in range(300):
+        value = draw(0)
+        assert cli._json(value) == json.dumps(value, indent=2), value
+    assert len(seen) == 9 and min(seen.values()) >= 40, seen
 
 
 class TestIntegerArguments:

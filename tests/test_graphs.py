@@ -125,6 +125,15 @@ class TestRecord:
         with pytest.raises(AttributeError):
             graph.chords = ()
 
+    def test_make_and_replace_validate_and_normalize(self):
+        graph = graphs.ChordedCycleGraph(5, [(3, 1)])
+        with pytest.raises(ValueError, match=r"^chord \(2, 3\) duplicates a cycle edge$"):
+            graph._replace(chords=((2, 3),))
+        with pytest.raises(ValueError, match="^need at least 3 vertices$"):
+            graphs.ChordedCycleGraph._make((2, [(9, 9)]))
+        assert graph._replace(chords=[(5, 2)]).chords == ((2, 5),)
+        assert graphs.ChordedCycleGraph._make((5, [(3, 1)])) == graph
+
 
 # n: anchor sets on the n-cycle whose census repeats a length, of the
 # 2^(n - 3); 3,891 of the 4,095 for n = 3..14

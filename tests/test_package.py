@@ -1,6 +1,6 @@
 """The package's top-level names are the ones the README's Library section
-uses, importing the command line loads neither ``dataclasses`` nor
-``inspect``, no module under tests/ imports a test module, and the mutation
+uses, importing the command line loads none of ``dataclasses``, ``inspect``
+and ``json``, no module under tests/ imports a test module, and the mutation
 audit's accepted survivors are mutants it makes."""
 
 import ast
@@ -33,13 +33,13 @@ def test_public_names_are_the_documented_ones():
     assert all(hasattr(cyclespec, name) for name in cyclespec.__all__)
 
 
-def test_cli_import_leaves_out_dataclasses_and_inspect():
-    # every invocation pays for its imports, and these two cost more than
-    # most commands' work; the records are NamedTuples for that reason.  Only
-    # what the import adds counts: a .pth file of the interpreter's site
-    # packages may load inspect before any package does.
+def test_cli_import_leaves_out_dataclasses_inspect_and_json():
+    # every invocation pays for its imports, and these cost more than most
+    # commands' work; the records are NamedTuples and the CLI writes its own
+    # JSON for that reason.  Only what the import adds counts: a .pth file of
+    # the interpreter's site packages may load inspect before any package does.
     probe = ("import sys; before = set(sys.modules); import cyclespec.cli; "
-             "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+             "print(sorted({'dataclasses', 'inspect', 'json'} & (set(sys.modules) - before)))")
     done = subprocess.run([sys.executable, "-c", probe], check=True, capture_output=True,
                           text=True, timeout=60)
     assert done.stdout == "[]\n"

@@ -99,27 +99,29 @@ def test_recurrence_matches_matrix_walk(q):
 
 
 def test_walk_covers_one_period(monkeypatch):
-    # Every GF(23) product is counted.  The walk starts after the last GF(23^3)
-    # product, which gives the seed w(2), and each step is the three-term
-    # recurrence: three products.  One period is n = 553 steps, the full walk
+    # Every GF(23) product and sum is counted.  The walk starts after the last
+    # GF(23^3) product, which gives the seed w(2), and each step is the
+    # three-term recurrence read from the tables of s2 x, s1 x and s0 x: two
+    # sums and no product.  One period is n = 553 steps, the full walk
     # 23^3 - 1.
-    products, last_multiply = [], []
+    calls, last_multiply = [], []
     prime_field, multiply = finite_field.prime_field, finite_field.multiply
 
     def counting_field(p):
         field = prime_field(p)
-        return field._replace(mul=lambda a, b: products.append(1) or field.mul(a, b))
+        return field._replace(add=lambda a, b: calls.append("add") or field.add(a, b),
+                              mul=lambda a, b: calls.append("mul") or field.mul(a, b))
 
     def recording_multiply(*args):
         result = multiply(*args)
-        last_multiply.append(len(products))
+        last_multiply.append(len(calls))
         return result
 
     monkeypatch.setattr(finite_field, "prime_field", counting_field)
     monkeypatch.setattr(finite_field, "multiply", recording_multiply)
     singer.singer_difference_set(23)
-    steps, rest = divmod(len(products) - last_multiply[-1], 3)
-    assert (steps, rest) == (23 * 23 + 23 + 1, 0)
+    walk = calls[last_multiply[-1]:]
+    assert (walk.count("add"), walk.count("mul")) == (2 * (23 * 23 + 23 + 1), 0)
 
 
 def test_unit_group_order_factored_once(monkeypatch):
@@ -243,6 +245,13 @@ class TestRecord:
             diffset.n = 8
         with pytest.raises(AttributeError):
             diffset.elements = ()
+
+    def test_make_and_replace_validate_and_normalize(self):
+        diffset = singer.PerfectDifferenceSet(7, [1, 2, 4])
+        with pytest.raises(ValueError, match="^elements must be strictly increasing$"):
+            diffset._replace(elements=[4, 1])
+        assert diffset._replace(elements=[0, 1, 3]).elements == (0, 1, 3)
+        assert singer.PerfectDifferenceSet._make((7, [1, 2, 4])) == diffset
 
 
 class TestTranslate:
