@@ -22,12 +22,11 @@ class Field(NamedTuple):
 
 
 class Extension(NamedTuple):
-    """base[x]/(modulus), ``order`` tuples of deg(modulus) coefficients; x^deg = ``fold``."""
+    """base[x]/(modulus), ``order`` tuples of deg(modulus) coefficients."""
 
     base: Field
     modulus: tuple[int, ...]
     order: int
-    fold: tuple[int, ...]
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -63,17 +62,25 @@ def monic_polynomials(field: Field, degree: int):
 
 def proper_factor(field: Field, poly) -> tuple[int, ...] | None:
     """A monic factor of degree 1..deg/2 by trial division; None means irreducible."""
-    add, mul, minus_one = field.add, field.mul, field.characteristic - 1
     for degree in range(1, (len(poly) - 1) // 2 + 1):
         for candidate in monic_polynomials(field, degree):
-            rest = list(poly)
-            while len(rest) > degree:
-                top = mul(minus_one, rest.pop())
-                for j, c in enumerate(candidate[:-1], len(rest) - degree):
-                    rest[j] = add(rest[j], mul(top, c))
-            if not any(rest):
+            if not any(_remainder(field, list(poly), candidate)):
                 return candidate
     return None
+
+
+def _remainder(field: Field, coefficients: list[int], monic) -> list[int]:
+    """``coefficients`` reduced in place modulo the ``monic`` polynomial: each
+    nonzero top term t x^k, from the top down, adds -t (monic - x^deg) x^(k - deg)."""
+    add, mul, minus_one = field.add, field.mul, field.characteristic - 1
+    degree, low = len(monic) - 1, monic[:-1]
+    while len(coefficients) > degree:
+        top = coefficients.pop()
+        if top:
+            top = mul(minus_one, top)
+            for j, c in enumerate(low, len(coefficients) - degree):
+                coefficients[j] = add(coefficients[j], mul(top, c))
+    return coefficients
 
 
 def find_irreducible(base: Field, degree: int) -> tuple[int, ...]:
@@ -105,31 +112,23 @@ def find_irreducible(base: Field, degree: int) -> tuple[int, ...]:
 def extend(base: Field, degree: int) -> Extension:
     """The canonical extension of ``degree`` >= 2: base[x] modulo ``find_irreducible``,
     whose search proves its result irreducible, so no second proof is made here."""
-    modulus = find_irreducible(base, degree)
-    fold = tuple(base.mul(base.characteristic - 1, c) for c in modulus[:-1])
-    return Extension(base, modulus, base.order ** degree, fold)
+    return Extension(base, find_irreducible(base, degree), base.order ** degree)
 
 
 def element(field: Extension, index: int) -> tuple[int, ...]:
     """Element number ``index`` in the canonical enumeration 0..order-1."""
-    return digits(index, field.base.order, len(field.fold))
+    return digits(index, field.base.order, len(field.modulus) - 1)
 
 
 def multiply(field: Extension, a, b) -> tuple[int, ...]:
-    """a b as the sum of b_j a x^j; unrolled for cubic moduli, as in GF(q^3)."""
+    """a b as the schoolbook product, skipping a's zero coefficients, then ``_remainder``."""
     add, mul = field.base.add, field.base.mul
-    if len(field.fold) == 3:
-        (a0, a1, a2), (b0, b1, b2), (r0, r1, r2) = a, b, field.fold
-        c4 = mul(a2, b2)  # x^3 = fold: c4 x^4 = c4 x x^3 folds first, then c3 x^3
-        c3 = add(add(mul(a1, b2), mul(a2, b1)), mul(r2, c4))
-        c2 = add(add(add(mul(a0, b2), mul(a1, b1)), mul(a2, b0)), mul(r1, c4))
-        c1 = add(add(add(mul(a0, b1), mul(a1, b0)), mul(r0, c4)), mul(r1, c3))
-        return add(mul(a0, b0), mul(r0, c3)), c1, add(c2, mul(r2, c3))
-    out = (0,) * len(a)
-    for c in b:
-        out = tuple(add(o, mul(c, x)) for o, x in zip(out, a))
-        a = tuple(add(low, mul(a[-1], r)) for low, r in zip((0,) + a[:-1], field.fold))
-    return out
+    product = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                product[j] = add(product[j], mul(x, y))
+    return tuple(_remainder(field.base, product, field.modulus))
 
 
 def power(field: Extension, a, exponent: int) -> tuple[int, ...]:
@@ -187,7 +186,7 @@ def find_primitive(field: Extension) -> int:
     units are too few.  GF(7^3) takes 43 products (328 by the cofactors
     alone), GF(19^3) 31 (276).
     """
-    base, degree, units = field.base, len(field.fold), field.base.order - 1
+    base, degree, units = field.base, len(field.modulus) - 1, field.base.order - 1
     primes = [prime for prime, _ in factorize(field.order - 1)]
     norm_cofactors = [units // prime for prime in primes if units % prime == 0]
     line_cofactors = [(field.order - 1) // units // prime for prime in primes if units % prime]

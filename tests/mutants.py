@@ -15,10 +15,9 @@ against its module's test file and the golden CLI grid, with ``-x`` and a
 timeout of 300 s; a failure or a timeout kills it.  A mutant that
 survives runs again on the whole tier-1 suite.  Each mutant still alive
 then is printed as ``module.py:line operator`` with the expression it
-replaced, and the exit code is 1 if there is any.  The exceptions are the
-two fast paths in ``ACCEPTED``, whose mutants give the answer of the path
-behind them: they survive by design, so they skip the rerun and are
-reported as ``accepted``.
+replaced, and the exit code is 1 if there is any.  There are no exceptions:
+a fast path whose mutant gives the same answer is pinned by a test that
+counts the work it saves.
 
 Standard library only; the name keeps pytest from collecting it.  Run it
 by hand, naming modules (the default is all of them):
@@ -41,12 +40,6 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = pathlib.Path("src", "cyclespec")
 GOLDEN_TESTS = "tests/test_cli_golden.py"
 TIMEOUT_S = 300
-# (module, operator, replaced expression): by what a mutant deletes, not by
-# its line, so that edits elsewhere in the module leave an entry valid
-ACCEPTED = {
-    ("finite_field", "if->False", "len(field.fold) == 3"),  # the unrolled cubic product
-    ("search", "if->False", "(end - start) % n != span"),  # the span filter of _is_canonical
-}
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", "*.egg-info",
                                  "build", "dist", "results")
 
@@ -145,12 +138,10 @@ def main(argv: list[str]) -> int:
             tests = [own, GOLDEN_TESTS] if (copy / own).exists() else [GOLDEN_TESTS]
             for line, operator, replaced, mutated in mutants(originals[module]):
                 path.write_text(mutated)
-                accepted = (module, operator, replaced) in ACCEPTED
-                alive = _passes(copy, tests) and (accepted or _passes(copy, []))
+                alive = _passes(copy, tests) and _passes(copy, [])
                 label = f"{module}.py:{line} {operator}  {replaced}"
-                status = "killed  " if not alive else "accepted" if accepted else "SURVIVED"
-                print(f"{status} {label}", file=sys.stderr)
-                if alive and not accepted:
+                print(f"{'SURVIVED' if alive else 'killed  '} {label}", file=sys.stderr)
+                if alive:
                     survivors.append(label)
             path.write_text(unparsed[module])
     for label in survivors:

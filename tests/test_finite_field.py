@@ -221,7 +221,7 @@ class TestInversesAndOrders:
 
 @pytest.mark.parametrize("p,degree", [(5, 3), (2, 4)], ids=["GF125", "GF16"])
 def test_power_squares_from_the_top_bit(monkeypatch, p, degree):
-    # GF(5^3) multiplies by the unrolled cubic, GF(2^4) by the general loop
+    # a cubic and a quartic modulus, over an odd and an even characteristic
     field, calls = extension(p, degree), []
     multiply = ff.multiply
     monkeypatch.setattr(ff, "multiply", lambda *args: calls.append(1) or multiply(*args))
@@ -233,7 +233,8 @@ def test_power_squares_from_the_top_bit(monkeypatch, p, degree):
         expected = multiply(field, expected, a)
 
 
-@pytest.mark.parametrize("p,degree", [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2), (7, 2)])
+@pytest.mark.parametrize("p,degree", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4),
+                                      (5, 2), (7, 2)])
 def test_products_match_naive_oracle(p, degree):
     field = extension(p, degree)
     rng = random.Random(1000 * p + degree)

@@ -1,7 +1,6 @@
 """The package's top-level names are the ones the README's Library section
 uses, importing the command line loads none of ``dataclasses``, ``inspect``
-and ``json``, no module under tests/ imports a test module, and the mutation
-audit's accepted survivors are mutants it makes."""
+and ``json``, and no module under tests/ imports a test module."""
 
 import ast
 import pathlib
@@ -10,7 +9,6 @@ import subprocess
 import sys
 
 import cyclespec
-import mutants
 
 TESTS = pathlib.Path(__file__).resolve().parent
 README = TESTS.parent / "README.md"
@@ -64,14 +62,3 @@ def test_no_test_module_imports_another():
     assert len(paths) > 10
     found = {path.name: _imported_test_modules(path) for path in paths}
     assert {name: modules for name, modules in found.items() if modules} == {}
-
-
-def test_accepted_survivors_are_mutants_of_the_package():
-    # a stale entry accepts nothing, and the audit would then fail on the
-    # fast path it was meant to accept
-    made = set()
-    for module in {module for module, _, _ in mutants.ACCEPTED}:
-        source = (TESTS.parent / mutants.PACKAGE / f"{module}.py").read_text()
-        made |= {(module, operator, replaced)
-                 for _, operator, replaced, _ in mutants.mutants(source)}
-    assert mutants.ACCEPTED <= made

@@ -234,6 +234,21 @@ class TestCanonicity:
                  for _ in range(500)]
         assert _assert_same_canonicity(n, mixed) > 0
 
+    def test_only_least_span_chords_are_relabeled(self):
+        # the span filter saves work without changing the answer: here only
+        # (1, 3) spans the least span 2, and only one way round, so the chords
+        # are walked once for the span, once by the outer loop and once by
+        # each of its two relabelings; unfiltered, all 3 chords both ways round
+        # would make 12 relabelings
+        class CountingList(list):
+            def __iter__(self):
+                passes.append(1)
+                return super().__iter__()
+
+        passes = []
+        assert search._is_canonical(12, CountingList([(1, 3), (1, 6), (2, 9)]))
+        assert len(passes) == 4
+
 
 class TestIncrementalLengths:
     """``_new_cycle_lengths`` on the contracted cycle, against the
@@ -645,8 +660,8 @@ class TestExactSearch:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             search.exact_g(2)
-        with pytest.raises(ValueError):
-            search.exact_g(63)
+        with pytest.raises(ValueError, match="^n must lie in 3..62$"):
+            search.exact_g(63, budget=1)  # a missing refusal fails fast
         with pytest.raises(ValueError):
             search.exact_g(10, budget=0)
 
