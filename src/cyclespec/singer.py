@@ -75,19 +75,17 @@ def singer_difference_set(q: int) -> PerfectDifferenceSet:
     mid = ground if m == 1 else ff.logarithms(ff.extend(ground, m))
     top = ff.extend(mid, 3)
     gamma = ff.element(top, ff.find_primitive(top))
-    # Multiplying by gamma is the 3x3 matrix with columns gamma, gamma x, gamma x^2.
-    # Its characteristic polynomial x^3 - s2 x^2 - s1 x - s0 has s2 the trace,
-    # s1 minus the sum of the principal 2x2 minors and s0 the determinant, so
-    # by Cayley-Hamilton the top coordinate w(e) of gamma^e obeys
-    # w(e + 3) = s2 w(e + 2) + s1 w(e + 1) + s0 w(e), from w(0) = 0.
-    (a, d, g), (b, e, h), (c, f, i) = (ff.multiply(top, gamma, ff.element(top, q ** j))
-                                       for j in range(3))
+    # Multiplying by gamma over GF(q) is ff.matrix's rows, transposed.  Its characteristic
+    # polynomial x^3 - s2 x^2 - s1 x - s0 has s2 the trace, s1 minus the sum of the principal
+    # 2x2 minors and s0 the determinant, so by Cayley-Hamilton the top coordinate w(e) of
+    # gamma^e obeys w(e + 3) = s2 w(e + 2) + s1 w(e + 1) + s0 w(e), from w(0) = 0.
+    rows = ff.matrix(top, gamma)
+    (a, d, g), (b, e, h), (c, f, i) = rows
     add, mul, n = mid.add, mid.mul, q * q + q + 1
     minor = lambda x, y, z, t: add(mul(x, y), mul(p - 1, mul(z, t)))  # xy - zt; -1 is p - 1
     s2 = add(add(a, e), i)
     s1 = add(add(minor(b, d, a, e), minor(c, g, a, i)), minor(f, h, e, i))
-    s0 = add(add(mul(a, minor(e, i, f, h)), mul(b, minor(f, g, d, i))),
-             mul(c, minor(d, h, e, g)))
+    s0 = ff.determinant(mid, rows)
     # the three products of a step, tabulated over GF(q) once
     t2, t1, t0 = ([mul(s, x) for x in range(q)] for s in (s2, s1, s0))
     elements, (u, v, w) = [], (0, g, ff.multiply(top, gamma, gamma)[2])

@@ -388,6 +388,25 @@ def trial_division_irreducible(base, degree):
                 if ff.proper_factor(base, poly) is None)
 
 
+def conjugate_norm(field, a):
+    """The norm ``determinant(base, matrix(field, a))`` replaced in ``find_primitive``:
+    the product of the d conjugates a^(|B|^j) in the extension.  As a -> a^|B| fixes
+    the base B, it is B-linear, so its images of x, ..., x^(d - 1) are built once
+    and each conjugate is the linear image of the last."""
+    base, degree = field.base, len(field.modulus) - 1
+    images = [ff.power(field, ff.element(field, base.order), base.order)]
+    for _ in range(degree - 2):
+        images.append(ff.multiply(field, images[-1], images[0]))
+    conjugate = norm = tuple(a)
+    for _ in range(degree - 1):
+        image = (conjugate[0],) + (0,) * (degree - 1)
+        for c, column in zip(conjugate[1:], images):
+            image = tuple(base.add(o, base.mul(c, y)) for o, y in zip(image, column))
+        conjugate, norm = image, ff.multiply(field, norm, image)
+    assert not any(norm[1:]), "a norm lies in the base field"
+    return norm[0]
+
+
 def index_of(coords, base):
     return sum(c * base ** i for i, c in enumerate(coords))
 

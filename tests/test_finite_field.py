@@ -3,13 +3,14 @@ the q x q table field it replaced."""
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from cyclespec import finite_field as ff
 from cyclespec import singer
-from references import (Tables, element_order, extension, index_of, long_beyond,
-                        naive_product, naive_triple_product, poly_mod, poly_mul,
+from references import (Tables, conjugate_norm, element_order, extension, index_of,
+                        long_beyond, naive_product, naive_triple_product, poly_mod, poly_mul,
                         reference_choices, reference_primitive, reference_tower, table_extension,
                         table_irreducible, table_prime_field, tables, tower,
                         trial_division_irreducible)
@@ -185,9 +186,12 @@ class TestInversesAndOrders:
         (13, 2),  # 168 = 2^3 * 3 * 7: a candidate fails on 7 alone
         (2, 6),  # degree 6 over GF(2), where there is no norm test
         (2, 8),  # x is rejected, x + 1 is primitive
-        (5, 4),  # a Frobenius basis of width 4; x is rejected, x + 1 is primitive
+        (5, 4),  # a 4 x 4 norm determinant; x is rejected, x + 1 is primitive
         (7, 4),  # x is rejected, and so are the next four
-    ], ids=["GF8", "GF9", "GF25", "GF121", "GF169", "GF64", "GF256", "GF625", "GF2401"])
+        (3, 5),  # the first 5 x 5 norm determinant the CLI meets, in singer 243
+        (3, 6),  # and the first 6 x 6 one, in singer 729
+    ], ids=["GF8", "GF9", "GF25", "GF121", "GF169", "GF64", "GF256", "GF625", "GF2401",
+            "GF243", "GF729"])
     def test_primitive_matches_order_reference_on_small_fields(self, p, degree):
         ground = table_prime_field(p)
         assert (ff.find_primitive(extension(p, degree))
@@ -199,16 +203,15 @@ class TestInversesAndOrders:
         assert ff.find_primitive(top) == reference_primitive(reference_tower(q)[1])
 
     @pytest.mark.parametrize("make,products", [
-        # the Frobenius basis x^7, x^14 takes 5 products, each of the 16
-        # candidates 2 for its norm, and x, 2x and the primitive 1 + 3x pass
-        # the norm tests and take 2 more for a^3; 3x fails on its norm
-        (lambda: tower(7)[1], 43),  # 328 by the cofactor powers alone
-        # the basis takes 7 products and each of the 11 candidates 2; only
-        # the primitive 10 + x passes the norm tests
-        (lambda: tower(19)[1], 31),  # 276 by the cofactor powers alone
+        # no basis is built and a norm costs no extension product: it is a
+        # determinant over GF(7).  x, 2x and the primitive 1 + 3x pass the
+        # norm tests and take 2 products each for a^3; 3x fails on its norm
+        (lambda: tower(7)[1], 6),  # 328 by the cofactor powers alone
+        # only the primitive 10 + x, the 11th candidate, passes the norm
+        # tests, and takes 2 products for a^3
+        (lambda: tower(19)[1], 2),  # 276 by the cofactor powers alone
         # over GF(2) there is no norm test: x passes on 3 (x^85) and fails
-        # on 5 (x^51 = 1) after 9 + 8 products, x + 1 passes at 9 + 8 + 6;
-        # a norm would cost 7 products per candidate
+        # on 5 (x^51 = 1) after 9 + 8 products, x + 1 passes at 9 + 8 + 6
         (lambda: extension(2, 8), 40),
     ], ids=["GF343", "GF6859", "GF256"])
     def test_primitive_search_products(self, monkeypatch, make, products):
@@ -217,6 +220,59 @@ class TestInversesAndOrders:
         monkeypatch.setattr(ff, "multiply", lambda *args: calls.append(1) or multiply(*args))
         ff.find_primitive(field)
         assert len(calls) == products
+
+
+def _assert_norms_match(field, seed):
+    """``determinant(base, matrix(field, a))`` against the conjugate product for
+    zero, one and 60 seeded draws, each coordinate zero with probability 1/d."""
+    base, degree = field.base, len(field.modulus) - 1
+    rng, seen = random.Random(seed), Counter()
+    draws = [tuple(0 if rng.randrange(degree) == 0 else rng.randrange(1, base.order)
+                   for _ in range(degree)) for _ in range(60)]
+    for a in [ff.element(field, 0), ff.element(field, 1)] + draws:
+        seen["zero coordinate" if 0 in a else "no zero coordinate"] += 1
+        assert ff.determinant(base, ff.matrix(field, a)) == conjugate_norm(field, a), a
+    assert min(seen.values()) >= 5 and len(seen) == 2, seen
+
+
+@pytest.mark.parametrize("p,degree", [(3, 2), (5, 2), (2, 3), (7, 3), (3, 4), (5, 4), (3, 5),
+                                      (3, 6)])
+def test_norm_is_the_conjugate_product(p, degree):
+    _assert_norms_match(extension(p, degree), 100 * p + degree)
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_TO_256)
+def test_norm_is_the_conjugate_product_on_singer_tops(q):
+    _assert_norms_match(tower(q)[1], q)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_determinant_matches_sympy(p):
+    # 40 seeded d x d matrices over GF(p) for each d = 1..6, each entry zero
+    # with probability 1/3; both singular and invertible ones at every d
+    sympy = pytest.importorskip("sympy")
+    rng, seen = random.Random(p), Counter()
+    for degree in range(1, 7):
+        for _ in range(40):
+            rows = [tuple(0 if rng.randrange(3) == 0 else rng.randrange(1, p)
+                          for _ in range(degree)) for _ in range(degree)]
+            expected = sympy.Matrix(rows).det() % p
+            seen[degree, expected == 0] += 1
+            assert ff.determinant(ff.prime_field(p), rows) == expected, rows
+    assert len(seen) == 12 and min(seen.values()) >= 3, seen
+
+
+@pytest.mark.parametrize("make", [lambda: extension(2, 3), lambda: extension(3, 4),
+                                  lambda: extension(2, 6), lambda: tower(9)[1],
+                                  lambda: tower(16)[1]],
+                         ids=["GF8", "GF81", "GF64", "GF729", "GF4096"])
+def test_matrix_rows_are_products_by_powers_of_x(make):
+    field = make()
+    rng = random.Random(field.order)
+    x_powers = [ff.element(field, field.base.order ** j) for j in range(len(field.modulus) - 1)]
+    for _ in range(30):
+        a = ff.element(field, rng.randrange(field.order))
+        assert ff.matrix(field, a) == [ff.multiply(field, a, x_power) for x_power in x_powers]
 
 
 @pytest.mark.parametrize("p,degree", [(5, 3), (2, 4)], ids=["GF125", "GF16"])

@@ -124,6 +124,32 @@ def test_walk_covers_one_period(monkeypatch):
     assert (walk.count("add"), walk.count("mul")) == (2 * (23 * 23 + 23 + 1), 0)
 
 
+@pytest.mark.parametrize("q", [2, 7, 9, 19, 64])
+def test_one_extension_product_outside_the_primitive_search(monkeypatch, q):
+    # The recurrence's coefficients come from the rows of finite_field.matrix,
+    # which are shifts, and s0 from a determinant over GF(q), so the one
+    # GF(q^3) product outside find_primitive is gamma^2, the seed of w(2).
+    products, searching, gammas = [], [], []
+    multiply, find_primitive = finite_field.multiply, finite_field.find_primitive
+
+    def counting_multiply(field, a, b):
+        if field.order == q ** 3 and not searching:
+            products.append((a, b))
+        return multiply(field, a, b)
+
+    def marked_search(field):
+        searching.append(field)
+        index = find_primitive(field)
+        searching.pop()
+        gammas.append(finite_field.element(field, index))
+        return index
+
+    monkeypatch.setattr(finite_field, "multiply", counting_multiply)
+    monkeypatch.setattr(finite_field, "find_primitive", marked_search)
+    singer.singer_difference_set(q)
+    assert products == [(gammas[-1], gammas[-1])]
+
+
 def test_unit_group_order_factored_once(monkeypatch):
     # prime_power(19), prime_field(19), then one factorization of 19^3 - 1
     # shared by every candidate find_primitive tries: the 11 indices 19..29
