@@ -146,12 +146,11 @@ def _new_cycle_lengths(n: int, chords: list[tuple[int, int]], u: int, v: int,
 
 def _two_chord_lengths(n: int, first: tuple[int, int], second: tuple[int, int]) -> int:
     """Lengths of the cycles of the n-cycle that use both chords and no
-    other, as a bit set.  With (a, b) <= (c, d): side by side (b <= c), one
-    cycle through the outer arcs; else ``inner`` through the arcs a..c and
-    b..d, alone when the chords nest or share an endpoint, and with n + 4 -
-    inner when they cross (0 when the two coincide)."""
-    if second < first:
-        first, second = second, first
+    other, as a bit set; ``first`` < ``second``, the order of the candidate
+    list.  With (a, b) < (c, d): side by side (b <= c), one cycle through
+    the outer arcs; else ``inner`` through the arcs a..c and b..d, alone
+    when the chords nest or share an endpoint, and with n + 4 - inner when
+    they cross (0 when the two coincide)."""
     (a, b), (c, d) = first, second
     if b <= c:
         return 1 << (2 + c - b + n - d + a)
@@ -183,7 +182,7 @@ def _first_fit_star(n: int) -> tuple[tuple[int, int], ...]:
         trial = anchors + (anchor,)
         if not oracle.has_repeat(graphs.predicted_spectrum(n, trial)):
             anchors = trial
-    return graphs.build_graph(n, anchors).chords
+    return tuple((1, a) for a in anchors)
 
 
 def exact_g(n: int, budget: int = DEFAULT_NODE_BUDGET) -> ExactResult:
@@ -196,8 +195,10 @@ def exact_g(n: int, budget: int = DEFAULT_NODE_BUDGET) -> ExactResult:
     tried counts as one node, whether by a repeat test
     (``_new_cycle_lengths``) or, at depth 0 or 1, by its known lengths, and
     ``budget`` caps the number of nodes.
-    A run cut by the budget reports the larger of its incumbent and the
-    first-fit star, which costs no repeat test.
+    A run is exhaustive exactly when ``nodes_explored <= budget``: a cut run
+    counts the candidate it stops at untested, so it reports budget + 1
+    nodes, and the larger of its incumbent and the first-fit star, which
+    costs no repeat test.
 
     n is capped at 62, though the set-up before the first budget check is
     only the O(n^2) candidate pool: uncapped, ``budget=1`` took 3 ms at
@@ -209,22 +210,20 @@ def exact_g(n: int, budget: int = DEFAULT_NODE_BUDGET) -> ExactResult:
         raise ValueError("n must lie in 3..62")
 
     cap = chord_cap(n)
-    used = 1 << n  # the cycle lengths in use, as a bit set
-    chosen: list[tuple[int, int]] = []  # ascending
     best: tuple[tuple[int, int], ...] = ()
     nodes = 0
-    truncated = False
 
-    def walk(pool: list[tuple[tuple[int, int], int]]) -> None:
-        """pool: (chord, K) in lexicographic order, K a bit set of lengths
-        the chord is known to add here; the parent has made every cut."""
-        nonlocal best, nodes, truncated, used
+    def walk(pool: list[tuple[tuple[int, int], int]], chosen: list[tuple[int, int]],
+             used: int) -> None:
+        """pool: (chord, K) in lexicographic order, K a bit set of lengths the
+        chord is known to add beside ``chosen`` (ascending, lengths ``used``);
+        the parent has made every cut."""
+        nonlocal best, nodes
         depth = len(chosen)
         survivors = []  # (chord, its fresh lengths as a bit set)
         for chord, known in pool:
             nodes += 1
             if nodes > budget:
-                truncated = True
                 return
             # beside at most one chord x, a candidate's cycles avoid x or use x
             # alone, so K is exactly what its test would find (0 if it repeats)
@@ -232,26 +231,25 @@ def exact_g(n: int, budget: int = DEFAULT_NODE_BUDGET) -> ExactResult:
             if fresh is not None:
                 survivors.append((chord, fresh))
         for position, (chord, fresh) in enumerate(survivors):
-            if not _is_canonical(n, chosen + [chord]):
+            child = chosen + [chord]
+            if not _is_canonical(n, child):
                 continue
-            chosen.append(chord)
-            used |= fresh
-            if len(chosen) > len(best):
-                best = tuple(chosen)
-            pool = _child_pool(n, chord, used, survivors[position + 1:])
+            if len(child) > len(best):
+                best = tuple(child)
+            child_used = used | fresh
+            pool = _child_pool(n, chord, child_used, survivors[position + 1:])
             # the child needs len(best) - depth chords to beat the incumbent,
             # in the lengths 3..n-1 not yet used
-            if _can_fit(pool, len(best) - depth, n - 2 - used.bit_count()):
-                walk(pool)
-            used ^= fresh
-            chosen.pop()
-            if truncated or len(best) == cap:
+            if _can_fit(pool, len(best) - depth, n - 2 - child_used.bit_count()):
+                walk(pool, child, child_used)
+            if nodes > budget or len(best) == cap:
                 return
 
     if cap:  # the root's two arcs, 0 when they have one length
         walk([((u, v), 1 << (v - u + 1) ^ 1 << (n - v + u + 1))
-              for u in range(1, n + 1) for v in range(u + 2, n + 1) if (u, v) != (1, n)])
-    star = _first_fit_star(n) if truncated else ()
+              for u in range(1, n + 1) for v in range(u + 2, n + 1) if (u, v) != (1, n)],
+             [], 1 << n)  # bit n: the n-cycle itself
+    star = _first_fit_star(n) if nodes > budget else ()
     # max keeps the search's own set on a tie
     chords = max(best, star, key=len)
     witness = ChordedCycleGraph(n, chords)
@@ -262,4 +260,4 @@ def exact_g(n: int, budget: int = DEFAULT_NODE_BUDGET) -> ExactResult:
                        g_value=n + len(chords),
                        witness=witness,
                        nodes_explored=nodes,
-                       exhaustive=not truncated)
+                       exhaustive=nodes <= budget)

@@ -373,9 +373,8 @@ class TestForwardCheck:
                 assert min(through_both.values()) >= 0, (n, first, second)
                 expected = sorted(through_both.elements())
                 pair = search._two_chord_lengths(n, first, second)
-                assert search._two_chord_lengths(n, second, first) == pair
                 if len(set(expected)) < len(expected):
-                    (a, b), (c, d) = sorted((first, second))
+                    (a, b), (c, d) = first, second
                     assert pair == 0, (n, first, second)
                     assert _pair_kind(first, second) == "crossing" and 2 * (c + d - a - b) == n
                     kinds["coinciding"] += 1
@@ -406,7 +405,7 @@ class TestForwardCheck:
             fresh_c = search._new_cycle_lengths(n, chords, *c, used)
             if fresh_x is None or fresh_c is None:
                 continue
-            pair = search._two_chord_lengths(n, c, x)
+            pair = search._two_chord_lengths(n, *sorted((c, x)))
             known = fresh_c | pair
             child_used = used | fresh_x
             found = search._new_cycle_lengths(n, chords + (x,), *c, child_used)
@@ -448,20 +447,20 @@ class TestForwardCheck:
         # beside one chord x, a candidate c closes only its two arcs and
         # the cycles through c and x, so the child of x needs no repeat
         # test: it keeps c exactly when the test on cycle + x passes, with
-        # K(c) as the lengths that test finds
+        # K(c) as the lengths that test finds; the child is handed the roots
+        # after x, which meets every pair once
         bare = bits([n])
         roots = [(chord, search._new_cycle_lengths(n, (), *chord, bare))
                  for chord in chord_pool(n)]
         roots = [(chord, fresh) for chord, fresh in roots if fresh is not None]
         outcomes = Counter()
-        for x, fresh_x in roots:
+        for position, (x, fresh_x) in enumerate(roots):
             used = bare | fresh_x
-            known = dict(search._child_pool(n, x, used, [root for root in roots if root[0] != x]))
-            for c, _ in roots:
-                if c != x:
-                    found = search._new_cycle_lengths(n, (x,), *c, used)
-                    assert known.get(c) == found, (n, x, c)
-                    outcomes[found is None] += 1
+            known = dict(search._child_pool(n, x, used, roots[position + 1:]))
+            for c, _ in roots[position + 1:]:
+                found = search._new_cycle_lengths(n, (x,), *c, used)
+                assert known.get(c) == found, (n, x, c)
+                outcomes[found is None] += 1
         assert outcomes[True]
         assert bool(outcomes[False]) == (n >= 8)  # two chords fit from n = 8 on
 
@@ -640,6 +639,12 @@ class TestExactSearch:
         result = search.exact_g(17, budget=235)
         assert (result.exhaustive, result.nodes_explored) == (True, 235)
         assert (result.g_value, result.witness.chords) == (20, star)
+        # exhaustive is read from the count alone, on each side of the total
+        for n, total in ((12, 86), (17, 235), (18, FROZEN_NODES[18])):
+            for budget in (1, total - 1, total, total + 1):
+                result = search.exact_g(n, budget=budget)
+                assert result.exhaustive == (result.nodes_explored <= budget), (n, budget)
+                assert result.nodes_explored == min(total, budget + 1), (n, budget)
 
     def test_first_fit_star_is_a_maximal_witness(self):
         for n in range(4, 63):
