@@ -37,7 +37,7 @@ class ExactResult(NamedTuple):
 
     g_value = n + (maximum chord count found); witness is the first maximum
     subset in lexicographic order, which makes reruns byte-identical.
-    exhaustive is False only when the node budget truncated the search;
+    exhaustive is False only when the node budget cut the search short;
     the witness is then the best set found, or the first-fit star if larger.
     """
 
