@@ -8,7 +8,7 @@ checks every construction, and an exhaustive search computes the exact
 maximum edge count for small n.
 """
 
-from .cycleset import derive_cycle_set
+from .cycleset import derive_cycle_set_trace
 from .graphs import build_graph, import_graph, predicted_spectrum
 from .oracle import enumerate_cycles
 from .search import exact_g
@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "build_graph",
-    "derive_cycle_set",
+    "derive_cycle_set_trace",
     "enumerate_cycles",
     "exact_g",
     "import_graph",

@@ -23,13 +23,9 @@ class CycleSetDerivation(NamedTuple):
     anchors: tuple[int, ...]     # shifted without 2 and n
 
 
-def derive_cycle_set(diffset: singer.PerfectDifferenceSet) -> tuple[int, ...]:
-    """The k - 2 sorted chord anchors derived from a perfect difference set."""
-    return derive_cycle_set_trace(diffset).anchors
-
-
 def derive_cycle_set_trace(diffset: singer.PerfectDifferenceSet) -> CycleSetDerivation:
-    """Run the conversion, keeping the shift pair and translate.
+    """The k - 2 sorted chord anchors of a perfect difference set, with the
+    shift pair and the translate they come from.
 
     Refuses with ValueError anything that is not a perfect difference set
     of at least 3 elements, and re-checks the anchors against the census.

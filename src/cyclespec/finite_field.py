@@ -131,14 +131,9 @@ def multiply(field: Extension, a, b) -> tuple[int, ...]:
     return tuple(_remainder(field.base, product, field.modulus))
 
 
-def power(field: Extension, a, exponent: int) -> tuple[int, ...]:
-    """a^exponent for an exponent of at least 1, squaring from the top bit down:
-    bit_length + popcount - 2 products."""
-    return _power(partial(multiply, field), a, exponent)
-
-
-def _power(product, a, exponent: int):
-    """a^exponent under ``product``, as ``power`` takes it."""
+def power(product, a, exponent: int):
+    """a^exponent under ``product``, for an exponent of at least 1, squaring from
+    the top bit down: bit_length + popcount - 2 products."""
     result = a
     for bit in bin(exponent)[3:]:  # the bits below the top one
         result = product(result, result)
@@ -204,7 +199,7 @@ def find_primitive(field: Extension) -> int:
     none, and no norm is computed.  The constants are skipped, as their units are
     too few.  GF(7^3) takes 6 products (328 by the cofactors alone), GF(19^3) 2 (276).
     """
-    base, units = field.base, field.base.order - 1
+    base, units, product = field.base, field.base.order - 1, partial(multiply, field)
     primes = [prime for prime, _ in factorize(field.order - 1)]
     norm_cofactors = [units // prime for prime in primes if units % prime == 0]
     line_cofactors = [(field.order - 1) // units // prime for prime in primes if units % prime]
@@ -212,8 +207,8 @@ def find_primitive(field: Extension) -> int:
         a = element(field, index)
         if norm_cofactors:
             norm = determinant(base, matrix(field, a))
-            if 1 in (_power(base.mul, norm, cofactor) for cofactor in norm_cofactors):
+            if 1 in (power(base.mul, norm, cofactor) for cofactor in norm_cofactors):
                 continue
-        if all(any(power(field, a, cofactor)[1:]) for cofactor in line_cofactors):
+        if all(any(power(product, a, cofactor)[1:]) for cofactor in line_cofactors):
             return index
     raise AssertionError("unit groups of finite fields are cyclic")

@@ -145,7 +145,10 @@ def _parse_edges(text: str, fmt: str) -> list[tuple[int, int]]:
         match = pattern.fullmatch(stripped)
         if match is None:
             raise ValueError(f"line {lineno}: expected {expected}, got {line!r}")
-        u, v = int(match[1]), int(match[2])
+        try:
+            u, v = int(match[1]), int(match[2])
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise ValueError(f"line {lineno}: vertex label has too many digits") from None
         if u < 1 or v < 1:
             raise ValueError(f"line {lineno}: vertex labels start at 1")
         edges.append((u, v))

@@ -11,6 +11,7 @@ one calls ``pytest.importorskip``, and tier-1 skips without it.
 import itertools
 import math
 from collections import Counter, defaultdict
+from functools import partial
 from typing import NamedTuple
 
 import pytest
@@ -58,7 +59,7 @@ def dihedral_maps(n):
 
 def singer_graph(q):
     """The paper's graph for q: the star on the anchors derived from the Singer set."""
-    anchors = cycleset.derive_cycle_set(singer.singer_difference_set(q))
+    anchors = cycleset.derive_cycle_set_trace(singer.singer_difference_set(q)).anchors
     return graphs.build_graph(q * q + q + 1, anchors)
 
 
@@ -394,7 +395,7 @@ def conjugate_norm(field, a):
     the base B, it is B-linear, so its images of x, ..., x^(d - 1) are built once
     and each conjugate is the linear image of the last."""
     base, degree = field.base, len(field.modulus) - 1
-    images = [ff.power(field, ff.element(field, base.order), base.order)]
+    images = [ff.power(partial(ff.multiply, field), ff.element(field, base.order), base.order)]
     for _ in range(degree - 2):
         images.append(ff.multiply(field, images[-1], images[0]))
     conjugate = norm = tuple(a)

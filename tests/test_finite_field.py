@@ -4,6 +4,7 @@ the q x q table field it replaced."""
 import itertools
 import random
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -275,18 +276,29 @@ def test_matrix_rows_are_products_by_powers_of_x(make):
         assert ff.matrix(field, a) == [ff.multiply(field, a, x_power) for x_power in x_powers]
 
 
-@pytest.mark.parametrize("p,degree", [(5, 3), (2, 4)], ids=["GF125", "GF16"])
-def test_power_squares_from_the_top_bit(monkeypatch, p, degree):
+def _extension_product(p, degree):
+    """The product of the canonical extension of GF(p), and its element x + 1."""
+    field = extension(p, degree)
+    return partial(ff.multiply, field), ff.element(field, p + 1)
+
+
+@pytest.mark.parametrize("make", [
     # a cubic and a quartic modulus, over an odd and an even characteristic
-    field, calls = extension(p, degree), []
-    multiply = ff.multiply
-    monkeypatch.setattr(ff, "multiply", lambda *args: calls.append(1) or multiply(*args))
-    a = expected = ff.element(field, p + 1)  # x + 1
+    lambda: _extension_product(5, 3),
+    lambda: _extension_product(2, 4),
+    # base-field products, as the norm test takes them: mod 7, and by log
+    # tables with x in GF(9)
+    lambda: (GF7.mul, 3),
+    lambda: (ff.logarithms(extension(3, 2)).mul, 3),
+], ids=["GF125", "GF16", "GF7", "GF9"])
+def test_power_squares_from_the_top_bit(make):
+    product, a = make()
+    calls, expected = [], a
     for exponent in range(1, 201):
         calls.clear()
-        assert ff.power(field, a, exponent) == expected
+        assert ff.power(lambda x, y: calls.append(1) or product(x, y), a, exponent) == expected
         assert len(calls) == exponent.bit_length() + exponent.bit_count() - 2
-        expected = multiply(field, expected, a)
+        expected = product(expected, a)
 
 
 @pytest.mark.parametrize("p,degree", [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4),

@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -25,6 +26,10 @@ def _raises(message):
 _PIECES = (" ", "  ", "\t", "\u00a0", "\u2003", "\u3000", "0", "1", "7", "42",
            "\u0663", "\u00b2", "\uff11", "\u0967", "-", "--", "->", ";", "{", "}",
            "graph {", "a", "x")
+
+
+# one digit more than int() converts from a string
+LONG_LABEL = "9" * (sys.get_int_max_str_digits() + 1)
 
 
 def parser_mismatches(count, seed):
@@ -297,6 +302,7 @@ class TestImport:
                 ("1 2 3\n", "line 1: expected two vertex labels, got '1 2 3'"),
                 ("a b\n", "line 1: expected two vertex labels, got 'a b'"),
                 ("0 2\n", "line 1: vertex labels start at 1"),
+                (f"1 2\n2 {LONG_LABEL}\n", "line 2: vertex label has too many digits"),
                 ("", "no edges found")]:
             with _raises(message):
                 graphs.import_graph(text, "edgelist")
@@ -335,6 +341,8 @@ class TestImport:
             graphs.import_graph("graph {\n  1 -- 2\n}\n", "dot")  # no semicolon
         with _raises("line 2: expected 'u -- v;', got '  1 -> 2;'"):
             graphs.import_graph("graph {\n  1 -> 2;\n}\n", "dot")
+        with _raises("line 3: vertex label has too many digits"):
+            graphs.import_graph(f"graph {{\n  1 -- 2;\n  {LONG_LABEL} -- 2;\n}}\n", "dot")
 
     def test_graph6_malformed(self):
         with _raises("expected a single graph6 line"):

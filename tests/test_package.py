@@ -1,6 +1,7 @@
 """The package's top-level names are the ones the README's Library section
 uses, importing the command line loads none of ``dataclasses``, ``inspect``
-and ``json``, and no module under tests/ imports a test module."""
+and ``json``, no module under tests/ imports a test module, and the README
+quotes the mutation audit's mutant count."""
 
 import ast
 import pathlib
@@ -9,6 +10,7 @@ import subprocess
 import sys
 
 import cyclespec
+import mutants
 
 TESTS = pathlib.Path(__file__).resolve().parent
 README = TESTS.parent / "README.md"
@@ -62,3 +64,10 @@ def test_no_test_module_imports_another():
     assert len(paths) > 10
     found = {path.name: _imported_test_modules(path) for path in paths}
     assert {name: modules for name, modules in found.items() if modules} == {}
+
+
+def test_readme_quotes_the_mutant_count():
+    # the audit makes one mutant per site of every module under src/cyclespec
+    total = sum(len(mutants._sites(ast.parse(path.read_text(encoding="utf-8"))))
+                for path in (TESTS.parent / "src" / "cyclespec").glob("*.py"))
+    assert f"Each of its {total} mutants" in " ".join(README.read_text().split())
